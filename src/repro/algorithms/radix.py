@@ -53,10 +53,15 @@ class _RadixBase(TopKAlgorithm):
     def _shifts(self, keys: np.ndarray) -> List[int]:
         """MSD-to-LSD bit shifts for the key dtype."""
         total_bits = keys.dtype.itemsize * 8
-        shifts = list(range(total_bits - self.bits_per_pass, -1, -self.bits_per_pass))
-        if shifts and shifts[-1] != 0:
+        top = max(total_bits - self.bits_per_pass, 0)
+        shifts = list(range(top, -1, -self.bits_per_pass))
+        if shifts[-1] != 0:
             shifts.append(0)
         return shifts
+
+    def _digit_mask(self, keys: np.ndarray) -> int:
+        """Mask of one pass's digit, clipped to the key width."""
+        return (1 << min(self.bits_per_pass, keys.dtype.itemsize * 8)) - 1
 
     def _digit_of_interest(
         self, digits: np.ndarray, need: int
@@ -83,7 +88,7 @@ class RadixTopK(_RadixBase):
         accepted: List[np.ndarray] = []
         need = k
         self.last_iterations = 0
-        mask_digit = (1 << self.bits_per_pass) - 1
+        mask_digit = self._digit_mask(keys)
 
         for shift in self._shifts(keys):
             m = candidates.shape[0]
@@ -141,7 +146,7 @@ class InPlaceRadixTopK(_RadixBase):
         accepted: List[np.ndarray] = []
         need = k
         self.last_iterations = 0
-        mask_digit = (1 << self.bits_per_pass) - 1
+        mask_digit = self._digit_mask(keys)
 
         for shift in self._shifts(keys):
             live_idx = indices[live]
@@ -200,73 +205,57 @@ class FlagRadixTopK(_RadixBase):
     name = "radix_flag"
     distribution_stable = False
     # The (flag, mask) prefix narrows to the k-th key's radix prefix; elements
-    # above the prefix are emitted in position order and ties inside it fill
-    # stably, so selections at larger k extend smaller-k selections exactly.
+    # above the prefix are all taken and ties inside it are taken from the
+    # highest position down, so selections at larger k extend smaller-k
+    # selections exactly.
     prefix_consistent = True
 
     def _select(
         self, keys: np.ndarray, k: int, trace: Optional[ExecutionTrace]
     ) -> np.ndarray:
         n = keys.shape[0]
-        dtype = keys.dtype
-        need_type = np.uint64  # wide enough for any supported key dtype
-        flag = need_type(0)
-        mask = need_type(0)
-        accepted_count_by_value = 0
+        word = keys.dtype.type  # every pass runs in the key's own width
+        flag = word(0)
+        mask = word(0)
         self.last_iterations = 0
-        mask_digit = (1 << self.bits_per_pass) - 1
-        keys64 = keys.astype(need_type, copy=False)
+        mask_digit = self._digit_mask(keys)
 
         # The number of elements still needed from inside the current prefix.
+        # A pass keeps it >= 1: the digit of interest is the largest whose
+        # bucket and everything above it hold at least `need` candidates.
         need = k
         for shift in self._shifts(keys):
-            candidate_mask = (keys64 & mask) == flag
-            cand = keys64[candidate_mask]
+            cand = keys[(keys & mask) == flag]
             m = cand.shape[0]
             if trace is not None:
                 trace.add("radix_flag_scan", loads=float(n), kernels=1)
             if m <= need:
                 break
             self.last_iterations += 1
-            digits = ((cand >> need_type(shift)) & need_type(mask_digit)).astype(np.int64)
+            digits = ((cand >> word(shift)) & word(mask_digit)).astype(np.intp)
             digit, count_above = self._digit_of_interest(digits, need)
             need -= count_above
-            accepted_count_by_value += count_above
             # Extend the prefix of interest by this pass's digit.
-            mask = mask | (need_type(mask_digit) << need_type(shift))
-            flag = flag | (need_type(digit) << need_type(shift))
-            if need == 0:
-                break
+            mask = mask | (word(mask_digit) << word(shift))
+            flag = flag | (word(digit) << word(shift))
 
         # Final extraction pass: elements above the prefix's upper bound were
-        # accepted "by value" during the digit passes; elements matching the
-        # prefix fill the remaining `need` slots.
-        threshold_mask = (keys64 & mask) == flag
-        prefix_candidates = np.nonzero(threshold_mask)[0]
-        if need > 0:
-            order = np.argsort(keys64[prefix_candidates], kind="stable")
-            inside = prefix_candidates[order[-need:]]
-        else:
-            inside = np.empty(0, dtype=np.int64)
-        if int(mask):
-            above_prefix = np.nonzero(keys64 > _prefix_upper_bound(flag, mask))[0]
-        else:
-            above_prefix = np.empty(0, dtype=np.int64)
+        # accepted "by value" during the digit passes; the last `need` elements
+        # matching the prefix fill the rest.  The loop leaves either exactly
+        # `need` prefix elements, or a prefix covering every key bit, whose
+        # elements then all tie on one key — so no sort is needed here.
+        inside = np.flatnonzero((keys & mask) == flag)[-need:]
+        above_prefix = np.flatnonzero(keys > _prefix_upper_bound(flag, mask))
         if trace is not None:
             trace.add("radix_flag_extract", loads=float(n), stores=float(k), kernels=1)
-        result = np.concatenate([above_prefix, inside])
-        if result.shape[0] != k:
-            # Defensive fallback; should not happen but guarantees correctness.
-            order_all = np.argsort(keys64, kind="stable")
-            result = order_all[-k:]
-        return result.astype(np.int64)
+        return np.concatenate([above_prefix, inside])
 
 
-def _prefix_upper_bound(flag: np.uint64, mask: np.uint64) -> np.uint64:
+def _prefix_upper_bound(flag: np.unsignedinteger, mask: np.unsignedinteger) -> np.unsignedinteger:
     """Largest key value inside the prefix ``(flag, mask)``.
 
-    Keys strictly greater than this bound were accepted "by value" in earlier
-    passes (their digit exceeded the digit of interest).
+    ``flag`` and ``mask`` carry the key dtype, so the bound is sized to the
+    key width.  Keys strictly greater than it were accepted "by value" in
+    earlier passes (their digit exceeded the digit of interest).
     """
-    full = np.uint64(np.iinfo(np.uint64).max)
-    return np.uint64(flag | (~mask & full))
+    return flag | ~mask

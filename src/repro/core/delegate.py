@@ -21,7 +21,7 @@ the paper describes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +38,10 @@ __all__ = ["DelegateVector", "build_delegate_vector", "resolve_strategy"]
 #: (alpha <= 5)", Section 5.3).
 COALESCED_ALPHA_THRESHOLD = 5
 
+#: Keys per block of the β <= 2 construction's two ``argmax`` passes: small
+#: enough that the masked copy of a block stays in cache.
+_BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass
 class DelegateVector:
@@ -47,11 +51,16 @@ class DelegateVector:
     ----------
     keys:
         ``(num_subranges, beta)`` array of delegate keys, column 0 holding the
-        subrange maximum, column 1 the second largest, and so on.  Subranges
-        with fewer than ``beta`` real elements repeat their minimum real key in
-        the unused columns and mark them invalid in :attr:`valid`.
+        subrange maximum, column 1 the second largest, and so on.  For
+        ``beta <= 2`` ties go to the lowest position in the subrange (column 0
+        is the first maximum, column 1 the first maximum of the rest); for
+        larger ``beta`` which of several tied keys is taken is unspecified,
+        but a real element always wins over padding.  Subranges with fewer
+        than ``beta`` real elements fill the unused columns with padding: key
+        0 (the pad value), marked invalid in :attr:`valid`.
     indices:
-        Global element positions of each delegate (same shape as :attr:`keys`).
+        Global element positions of each delegate (same shape as :attr:`keys`);
+        unused columns hold ``n - 1``.
     valid:
         Boolean mask of delegates that correspond to real (non-padded) input
         elements.
@@ -153,6 +162,14 @@ def build_delegate_vector(
 ) -> DelegateVector:
     """Extract the top-``beta`` delegates of every subrange.
 
+    ``beta <= 2`` (the default configuration uses 2) runs in linear time:
+    one blocked ``argmax`` for column 0 and one over a masked copy of each
+    block for column 1 (see :func:`_top2_lowest_index`), with ties going to
+    the lowest index.  Larger ``beta`` keeps a per-row ``argpartition`` plus
+    a sort of the ``beta`` slots.  The keys are each subrange's top ``beta``
+    in descending order either way; see :class:`DelegateVector` for the tie
+    rule and for what unused columns hold.
+
     Parameters
     ----------
     keys:
@@ -192,8 +209,8 @@ def build_delegate_vector(
         view = partition.reshape_padded(keys, pad_value=keys.dtype.type(0))
     num_subranges, subrange_size = view.shape
 
-    if beta == 1:
-        local = np.argmax(view, axis=1)[:, None]
+    if beta <= 2:
+        local, delegate_keys = _top2_lowest_index(view, beta)
     else:
         # Top-beta per row: partial selection then an exact sort of the beta slots.
         part = np.argpartition(view, subrange_size - beta, axis=1)[:, -beta:]
@@ -215,7 +232,7 @@ def build_delegate_vector(
                 top = np.arange(real)
             chosen = top[np.argsort(row[top], kind="stable")[::-1]]
             local[-1] = np.concatenate([chosen, np.arange(real, real + beta - bb)])
-    delegate_keys = np.take_along_axis(view, local, axis=1)
+        delegate_keys = np.take_along_axis(view, local, axis=1)
     global_idx = local + (np.arange(num_subranges, dtype=np.int64)[:, None] << partition.alpha)
 
     # Delegates pointing at padded slots are invalid.
@@ -233,6 +250,43 @@ def build_delegate_vector(
         beta=beta,
         strategy=resolved,
     )
+
+
+def _top2_lowest_index(view: np.ndarray, beta: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row top-``beta`` (``beta <= 2``) of ``view`` in linear time.
+
+    Column 0 is the row's ``argmax``; column 1 is the ``argmax`` of a copy of
+    the row whose column-0 slot is masked to 0.  Both passes run over blocks
+    of about :data:`_BLOCK_ELEMENTS` keys so the masked copy reuses one small
+    buffer that stays in cache.  ``argmax`` returns the first maximum, so
+    ties go to the lowest index and padding (0 at the end of the final row)
+    loses every tie to a real zero.  On a row whose keys other than column
+    0's are all 0, the masked pass can return the masked slot itself — only
+    when that slot is index 0 — and the delegate moves to index 1, the lowest
+    other index.  Returns ``(local_indices, keys)``, both ``(rows, beta)``.
+    """
+    rows, width = view.shape
+    local = np.empty((rows, beta), dtype=np.int64)
+    out = np.empty((rows, beta), dtype=view.dtype)
+    step = max(1, _BLOCK_ELEMENTS // width)
+    buf = np.empty((min(step, rows), width), dtype=view.dtype) if beta == 2 else None
+    ar = np.arange(min(step, rows))
+    for start in range(0, rows, step):
+        block = view[start : start + step]
+        m = block.shape[0]
+        r = ar[:m]
+        first = np.argmax(block, axis=1)
+        local[start : start + m, 0] = first
+        out[start : start + m, 0] = block[r, first]
+        if buf is not None:
+            masked = buf[:m]
+            np.copyto(masked, block)
+            masked[r, first] = 0
+            second = np.argmax(masked, axis=1)
+            second[second == first] = 1
+            local[start : start + m, 1] = second
+            out[start : start + m, 1] = block[r, second]
+    return local, out
 
 
 def _record_construction(

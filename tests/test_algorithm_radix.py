@@ -22,6 +22,13 @@ class TestConstruction:
         result = RadixTopK(bits_per_pass=bits).topk(v, 77)
         assert_topk_correct(result, v, 77)
 
+    @pytest.mark.parametrize("cls", [RadixTopK, InPlaceRadixTopK, FlagRadixTopK])
+    @pytest.mark.parametrize("bits", [11, 16])
+    def test_digit_wider_than_key(self, cls, bits, rng):
+        # A digit wider than a uint8 key still takes one pass over all 8 bits.
+        v = rng.integers(0, 256, size=999).astype(np.uint8)
+        assert_topk_correct(cls(bits_per_pass=bits).topk(v, 10), v, 10)
+
 
 class TestVariantEquivalence:
     @pytest.mark.parametrize("k", [1, 32, 500])
@@ -84,3 +91,84 @@ class TestTrafficModel:
         algo = RadixTopK()
         algo.topk(uniform_u32, 64)
         assert 1 <= algo.last_iterations <= 4
+
+
+def _stable_sort_topk(v: np.ndarray, k: int, largest: bool):
+    """What the flag radix has always returned: the last k of a stable sort
+    of the keys (boundary ties go to the highest positions), ordered by
+    :meth:`TopKAlgorithm.topk`."""
+    from repro.algorithms.keys import to_keys
+
+    keys = to_keys(v, largest=largest)
+    idx = np.argsort(keys, kind="stable")[-k:]
+    idx = idx[np.argsort(keys[idx], kind="stable")[::-1]]
+    return v[idx], idx
+
+
+def _flag_input(dtype, ties: bool, n: int, rng) -> np.ndarray:
+    dtype = np.dtype(dtype)
+    if ties:
+        return rng.integers(0, 4, size=n).astype(dtype)
+    if dtype.kind == "f":
+        return (rng.standard_normal(n) * 1e3).astype(dtype)
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, size=n, dtype=dtype, endpoint=True)
+
+
+FLAG_DTYPES = [
+    np.uint8, np.uint16, np.uint32, np.uint64, np.int32, np.int64, np.float32, np.float64
+]
+
+
+class TestFlagRadixExtraction:
+    """The flag radix extracts its answer from the (flag, mask) prefix alone:
+    no full sort of the input, in any key width."""
+
+    N = 1500
+
+    @pytest.mark.parametrize("dtype", FLAG_DTYPES)
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("largest", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 37, N - 1, N])
+    def test_matches_stable_sort_reference(self, rng, dtype, ties, largest, k):
+        v = _flag_input(dtype, ties, self.N, rng)
+        result = FlagRadixTopK().topk(v, k, largest=largest)
+        values, indices = _stable_sort_topk(v, k, largest)
+        np.testing.assert_array_equal(result.indices, indices)
+        np.testing.assert_array_equal(result.values, values)
+        assert_topk_correct(result, v, k, largest)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64])
+    @pytest.mark.parametrize("bits", [3, 8, 11])
+    def test_any_digit_width(self, rng, dtype, bits):
+        v = _flag_input(dtype, False, self.N, rng)
+        result = FlagRadixTopK(bits_per_pass=bits).topk(v, 100)
+        np.testing.assert_array_equal(result.indices, _stable_sort_topk(v, 100, True)[1])
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_never_sorts_more_than_k(self, monkeypatch, rng, ties):
+        n, k = 1 << 17, 4096
+        v = _flag_input(np.uint32, ties, n, rng)
+        seen = []
+        real_argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            seen.append(np.shape(a)[0])
+            return real_argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        result = FlagRadixTopK().topk(v, k)
+        monkeypatch.undo()
+        # The only sort left is TopKAlgorithm.topk ordering the k answers.
+        assert seen == [k]
+        assert_topk_correct(result, v, k)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.int64, np.float32])
+    def test_prefix_consistent_nesting(self, rng, dtype):
+        assert FlagRadixTopK.prefix_consistent
+        algo = FlagRadixTopK()
+        for ties in (False, True):
+            v = _flag_input(dtype, ties, self.N, rng)
+            big = algo.topk(v, 600)
+            for k in (1, 5, 64, 599):
+                np.testing.assert_array_equal(algo.topk(v, k).indices, big.indices[:k])

@@ -233,3 +233,81 @@ class TestMemoisedFlatViews:
         p = SubrangePartition(n=16, alpha=2)
         with pytest.raises(ConfigurationError):
             build_delegate_vector(keys, p, padded_view=keys.reshape(2, 8))
+
+
+def _lowest_index_top2(row: np.ndarray, beta: int) -> list:
+    """Reference tie rule: the first maximum, then the first maximum of the rest."""
+    first = int(np.argmax(row))
+    if beta == 1:
+        return [first]
+    rest = np.delete(row, first)
+    second = int(np.argmax(rest))
+    return [first, second + (second >= first)]
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+class TestLowestIndexTieRule:
+    """β <= 2 delegates break every tie toward the lowest index in the row."""
+
+    def test_delegates_are_lowest_index(self, rng, beta):
+        keys = rng.integers(0, 4, size=1 << 10).astype(np.uint32)  # heavy ties
+        p = SubrangePartition(n=keys.shape[0], alpha=4)
+        d = build_delegate_vector(keys, p, beta=beta)
+        view = keys.reshape(-1, 16)
+        expected = [_lowest_index_top2(row, beta) for row in view]
+        local = d.indices - (np.arange(p.num_subranges)[:, None] << 4)
+        np.testing.assert_array_equal(local, expected)
+
+    def test_all_zero_rows_take_distinct_lowest_indices(self, beta):
+        keys = np.zeros(64, dtype=np.uint32)
+        keys[8] = 5  # row 1: the maximum sits on index 0, every other key is 0
+        keys[17] = 5  # row 2: the maximum sits on index 1
+        p = SubrangePartition(n=64, alpha=3)
+        d = build_delegate_vector(keys, p, beta=beta)
+        local = d.indices - (np.arange(8)[:, None] << 3)
+        expected = [[0, 1], [0, 1], [1, 0]] + [[0, 1]] * 5
+        np.testing.assert_array_equal(local, np.asarray(expected)[:, :beta])
+        assert d.valid.all()
+        if beta == 2:
+            assert len(np.unique(d.indices)) == d.indices.size
+
+    def test_duplicated_maximum_fills_both_columns(self, beta):
+        keys = np.array([1, 7, 3, 7, 7, 2, 0, 6], dtype=np.uint32)
+        p = SubrangePartition(n=8, alpha=3)
+        d = build_delegate_vector(keys, p, beta=beta)
+        np.testing.assert_array_equal(d.keys[0], [7, 7][:beta])
+        np.testing.assert_array_equal(d.indices[0], [1, 3][:beta])
+
+    @pytest.mark.parametrize("real", [1, 2, 5])
+    def test_padded_final_subrange_prefers_real_zeros(self, beta, real):
+        n = 8 + real  # the final subrange holds `real` zeros and 8 - real pads
+        keys = np.ones(n, dtype=np.uint32)
+        keys[8:] = 0
+        p = SubrangePartition(n=n, alpha=3)
+        d = build_delegate_vector(keys, p, beta=beta)
+        taken = min(beta, real)
+        assert d.valid[-1].sum() == taken
+        np.testing.assert_array_equal(d.indices[-1, :taken], 8 + np.arange(taken))
+        np.testing.assert_array_equal(d.keys[-1], 0)
+        assert d.size == beta + taken
+
+    @pytest.mark.parametrize("dist", ["UD", "ND", "CD"])
+    @pytest.mark.parametrize("n", [1 << 14, (1 << 14) - 3])
+    def test_keys_match_sorted_rows(self, rng, beta, dist, n):
+        """The keys are each row's top-β in descending order, as with the
+        argpartition kernel: only the tie choice of indices is pinned down."""
+        from repro.datasets import customized_distribution
+
+        if dist == "UD":
+            keys = rng.integers(0, 2**32, size=n, dtype=np.uint32)
+        elif dist == "ND":  # N(1e8, 10) rounded: a few hundred distinct keys
+            keys = np.rint(rng.normal(1e8, 10.0, size=n)).astype(np.uint32)
+        else:
+            keys = customized_distribution(n, seed=7)
+        for alpha in (2, 6, 9):
+            p = SubrangePartition(n=n, alpha=alpha)
+            d = build_delegate_vector(keys, p, beta=beta)
+            view = p.reshape_padded(keys, pad_value=np.uint32(0))
+            expected = np.sort(view, axis=1)[:, ::-1][:, :beta]
+            np.testing.assert_array_equal(d.keys, expected)
+            np.testing.assert_array_equal(keys[d.flat_indices()], d.flat_keys())
