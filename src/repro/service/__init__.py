@@ -132,7 +132,7 @@ from repro.service.tenancy import (
     TokenBucket,
     WeightedFairQueue,
 )
-from repro.service.router import BatchedPlan, GroupShare, Router, tune_min_split_work
+from repro.service.router import BatchedPlan, Router
 from repro.service.sharedmem import SharedArray, SharedArrayRef, attached
 from repro.service.spill import SpillDirectory, SpillEntry, SpillInfo
 from repro.service.store import StoredVector, VectorStore
@@ -188,8 +188,6 @@ __all__ = [
     "ProcessTask",
     "Router",
     "BatchedPlan",
-    "GroupShare",
-    "tune_min_split_work",
     "fused_group_topk",
     "FusedGroupOutcome",
     "ScratchArena",

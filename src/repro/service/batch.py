@@ -32,6 +32,11 @@ With a :class:`~repro.service.planbank.PlanBank` attached, amortisation also
 crosses dispatches: a group whose ``(vector fingerprint, alpha, largest)``
 key is banked skips ``to_keys`` and construction entirely and records zero
 construction traffic for the batch — the steady-state zero-rescan path.
+
+Inside a batched dispatch the router has already grouped the queries (once,
+against the bank as it stood at placement) and each worker's
+:meth:`BatchTopK.run` receives its share of that group map instead of
+grouping again, so counts do not depend on which worker ran first.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ __all__ = [
 QueryLike = Union[int, Tuple, "TopKQuery"]
 
 #: Bank-aware alpha snapping: a query whose resolved Rule-4 ``alpha`` is a
-#: bank miss may be regrouped under a *banked* neighbouring exponent when the
+#: bank miss is regrouped under a *banked* neighbouring exponent when the
 #: modelled per-query cost grows by at most this fraction.  ``alpha`` only
 #: tunes performance — any valid exponent returns exact answers — so a snap
 #: trades a bounded amount of modelled work for skipping an O(n) rebuild.
@@ -104,8 +109,11 @@ def modelled_query_cost(n: int, k: int, alpha: int, beta: int) -> float:
     The concatenated second-pass vector holds ``min(num_subranges * beta, n)``
     elements and selection work scales with ``k`` — the same first-order
     model Rule 4 optimises and the router's placement weights use.  Only
-    *relative* costs matter (the alpha snap compares two exponents).
+    *relative* costs matter (the alpha snap compares two exponents, placement
+    compares groups).  Raises for ``k < 1``, where query work is undefined.
     """
+    if k < 1:
+        raise ConfigurationError(f"query work is undefined for k={k}; k must be >= 1")
     subrange = 1 << int(alpha)
     num_subranges = -(-int(n) // subrange)
     m = min(num_subranges * min(int(beta), subrange), int(n))
@@ -118,21 +126,21 @@ def _snap_alpha(
     alpha: int,
     beta: int,
     candidates: Sequence[QueryPlan],
-    tolerance: float,
 ) -> int:
     """Resolved exponent, possibly snapped to a banked neighbour.
 
     Keeps ``alpha`` when it is already banked, when no compatible candidate
     answers ``k`` exactly, or when every candidate's modelled cost exceeds
-    ``(1 + tolerance)`` times the resolved exponent's.  Deterministic:
-    ties prefer the cheapest candidate, then the nearest exponent.
+    ``(1 + DEFAULT_ALPHA_SNAP_TOLERANCE)`` times the resolved exponent's.
+    Deterministic: ties prefer the cheapest candidate, then the nearest
+    exponent.
     """
     if not candidates:
         return alpha
     for plan in candidates:
         if int(plan.alpha) == alpha:
             return alpha  # exact bank hit; nothing to snap
-    budget = (1.0 + tolerance) * modelled_query_cost(n, k, alpha, beta)
+    budget = (1.0 + DEFAULT_ALPHA_SNAP_TOLERANCE) * modelled_query_cost(n, k, alpha, beta)
     best: Optional[Tuple[Tuple[float, int, int], int]] = None
     for plan in candidates:
         if int(plan.n) != int(n):
@@ -158,7 +166,6 @@ def group_queries_by_plan(
     engine: DrTopK,
     plan_bank: Optional[PlanBank] = None,
     fingerprint: Optional[str] = None,
-    snap_tolerance: Optional[float] = DEFAULT_ALPHA_SNAP_TOLERANCE,
 ) -> Dict[Tuple[int, bool], List[int]]:
     """Group query positions by the plan they can share.
 
@@ -167,22 +174,19 @@ def group_queries_by_plan(
     ``(alpha, largest)``.  This single definition of plan compatibility is
     used by :class:`BatchTopK`, the router's worker placement and the sharded
     multi-GPU batch — keeping "what can be amortised" identical across every
-    route.  ``cache`` (when given) memoises the ``(n, k) → alpha`` resolution.
+    route.  A batched dispatch calls it exactly once, in the router, and
+    hands each worker its share of the resulting group map.  ``cache`` (when
+    given) memoises the ``(n, k) → alpha`` resolution.
 
     With ``plan_bank`` and ``fingerprint`` both given, bank-aware snapping
     applies on top: a query whose resolved exponent is *not* banked regroups
     under a banked neighbouring exponent whenever the modelled cost gap stays
-    within ``snap_tolerance`` (and the banked plan answers the query's ``k``
-    exactly) — a near-miss becomes a warm hit instead of an O(n) rebuild.
+    within :data:`DEFAULT_ALPHA_SNAP_TOLERANCE` (and the banked plan answers
+    the query's ``k`` exactly) — a near-miss becomes a warm hit instead of an O(n) rebuild.
     Snapping never changes answers, only which exact plan serves them.
     """
     groups: Dict[Tuple[int, bool], List[int]] = {}
-    snapping = (
-        plan_bank is not None
-        and fingerprint is not None
-        and snap_tolerance is not None
-        and snap_tolerance > 0
-    )
+    snapping = plan_bank is not None and fingerprint is not None
     banked: Optional[Dict[bool, List[QueryPlan]]] = None
     beta = engine.config.beta
     for pos, q in enumerate(parsed):
@@ -195,9 +199,7 @@ def group_queries_by_plan(
                 banked = {}
                 for plan in plan_bank.banked_plans(fingerprint):
                     banked.setdefault(bool(plan.largest), []).append(plan)
-            alpha = _snap_alpha(
-                n, q.k, alpha, beta, banked.get(q.largest, ()), snap_tolerance
-            )
+            alpha = _snap_alpha(n, q.k, alpha, beta, banked.get(q.largest, ()))
         groups.setdefault((alpha, q.largest), []).append(pos)
     return groups
 
@@ -223,10 +225,6 @@ class BatchReport:
     #: Groups served from the cross-dispatch plan bank (zero construction
     #: traffic charged this batch).
     plan_bank_hits: int = 0
-    #: Groups served from a caller-provided shared plan handle (split-group
-    #: broadcast); the construction was charged once by the broadcaster, so
-    #: this batch records zero construction traffic for them.
-    shared_plan_groups: int = 0
     #: Full selection passes executed: one per query on the per-query loop,
     #: one per group (plus exact fallbacks) on the fused path.
     selection_calls: int = 0
@@ -277,7 +275,6 @@ class BatchReport:
                 "num_groups": self.num_groups,
                 "constructions": self.constructions,
                 "plan_bank_hits": self.plan_bank_hits,
-                "shared_plan_groups": self.shared_plan_groups,
                 "selection_calls": self.selection_calls,
                 "fused_groups": self.fused_groups,
                 "fused_queries": self.fused_queries,
@@ -314,9 +311,6 @@ class BatchTopK:
         at the group's ``max(k)`` instead of one ``topk_prepared`` call per
         query, with per-query-identical results.  ``False`` keeps the
         per-query loop (the differential baseline).
-    snap_tolerance:
-        Modelled-cost headroom for bank-aware alpha snapping (see
-        :func:`group_queries_by_plan`); ``None`` or ``0`` disables snapping.
     """
 
     def __init__(
@@ -325,7 +319,6 @@ class BatchTopK:
         cache: Optional[PartitionCache] = None,
         plan_bank: Optional[PlanBank] = None,
         fused: bool = True,
-        snap_tolerance: Optional[float] = DEFAULT_ALPHA_SNAP_TOLERANCE,
     ) -> None:
         self.engine = DrTopK(config)
         # Not `cache or ...`: an empty cache is falsy (it has __len__ == 0)
@@ -333,7 +326,6 @@ class BatchTopK:
         self.cache = cache if cache is not None else PartitionCache()
         self.plan_bank = plan_bank
         self.fused = bool(fused)
-        self.snap_tolerance = snap_tolerance
         self.last_report: Optional[BatchReport] = None
 
     @property
@@ -358,7 +350,7 @@ class BatchTopK:
         v: np.ndarray,
         queries: Sequence[QueryLike],
         fingerprint: Optional[str] = None,
-        shared_plans: Optional[Dict[Tuple[int, bool], QueryPlan]] = None,
+        groups: Optional[Dict[Tuple[int, bool], List[int]]] = None,
     ) -> List[TopKResult]:
         """Answer every query against ``v``; results align with ``queries``.
 
@@ -369,12 +361,11 @@ class BatchTopK:
         entirely; ``fingerprint`` (when the caller — typically the
         dispatcher — has already fingerprinted ``v``) avoids hashing twice.
 
-        ``shared_plans`` maps ``(alpha, largest)`` group keys to broadcast
-        :class:`QueryPlan` handles (split-group dispatch): a group whose key
-        is present is served from the handle, read-only, with zero
-        construction charged here — the broadcaster charged it once for all
-        splits.  The handles must have been built over exactly ``v`` with
-        this engine's configuration.
+        ``groups`` maps ``(alpha, largest)`` keys to positions in
+        ``queries`` — the dispatcher passes its router's grouping, so one
+        batched dispatch groups exactly once and a worker never re-groups
+        against plans a sibling worker banked mid-dispatch.  Without it the
+        batch groups itself through :func:`group_queries_by_plan`.
         """
         parsed = [TopKQuery.of(q) for q in queries]
         report = BatchReport(num_queries=len(parsed))
@@ -392,17 +383,17 @@ class BatchTopK:
         if self.plan_bank is not None and fingerprint is None:
             fingerprint = fingerprint_array(v)
 
-        # Group queries sharing a plan: same resolved alpha, same key order
-        # — with near-miss exponents snapped onto banked neighbours.
-        groups = group_queries_by_plan(
-            parsed,
-            n,
-            self.cache,
-            self.engine,
-            plan_bank=self.plan_bank,
-            fingerprint=fingerprint,
-            snap_tolerance=self.snap_tolerance,
-        )
+        if groups is None:
+            # Group queries sharing a plan: same resolved alpha, same key
+            # order — with near-miss exponents snapped onto banked neighbours.
+            groups = group_queries_by_plan(
+                parsed,
+                n,
+                self.cache,
+                self.engine,
+                plan_bank=self.plan_bank,
+                fingerprint=fingerprint,
+            )
 
         results: List[Optional[TopKResult]] = [None] * len(parsed)
         report.num_groups = len(groups)
@@ -415,21 +406,13 @@ class BatchTopK:
             # holds for any).  The fused *selection* below then runs once at
             # the group's max(k) and serves every smaller k from it.
             min_k = min(parsed[p].k for p in positions)
-            plan = shared_plans.get((alpha, largest)) if shared_plans else None
-            shared_hit = plan is not None
-            bank_hit = False
-            if plan is None:
-                plan = self._banked_plan(fingerprint, alpha, largest)
-                bank_hit = plan is not None
+            plan = self._banked_plan(fingerprint, alpha, largest)
+            bank_hit = plan is not None
             if plan is None:
                 plan = self.engine.prepare_with_alpha(v, alpha, largest=largest, k=min_k)
                 if self.plan_bank is not None and fingerprint is not None:
                     self.plan_bank.put(fingerprint, plan)
-            if shared_hit:
-                # A broadcast handle: the split-group dispatcher charged the
-                # construction once for every split, not per worker.
-                report.shared_plan_groups += 1
-            elif bank_hit:
+            if bank_hit:
                 # The banked construction happened in an earlier dispatch;
                 # this batch moves no construction traffic for the group.
                 report.plan_bank_hits += 1
@@ -493,10 +476,10 @@ class BatchTopK:
         v: np.ndarray,
         queries: Sequence[QueryLike],
         fingerprint: Optional[str] = None,
-        shared_plans: Optional[Dict[Tuple[int, bool], QueryPlan]] = None,
+        groups: Optional[Dict[Tuple[int, bool], List[int]]] = None,
     ) -> Tuple[List[TopKResult], BatchReport]:
         """Like :meth:`run`, also returning the batch's :class:`BatchReport`."""
-        results = self.run(v, queries, fingerprint=fingerprint, shared_plans=shared_plans)
+        results = self.run(v, queries, fingerprint=fingerprint, groups=groups)
         assert self.last_report is not None
         return results, self.last_report
 

@@ -12,15 +12,11 @@ and a :class:`DispatchReport`.
 Three routes run through the core:
 
 * **Batched** — the shared vector fits one device's sub-vector capacity.
-  Queries are grouped exactly like :class:`~repro.service.batch.BatchTopK`
-  (shared ``(alpha, largest)`` plans) and groups are placed on workers with
-  a greedy least-loaded assignment.  A group normally stays whole on one
-  worker so plan reuse is never paid twice; a **dominant** group (above the
-  router's ``split_threshold`` of the dispatch's modelled work) is split
-  across workers instead, its single :class:`~repro.core.plan.QueryPlan`
-  broadcast to every split as a shared read-only handle — constructed or
-  bank-fetched exactly once (``DispatchReport.groups_split`` /
-  ``plan_broadcasts`` account for it, ``balance_ratio`` shows the win).
+  The router groups the queries once into shared ``(alpha, largest)`` plans
+  (the :class:`~repro.service.batch.BatchTopK` definition, bank-aware alpha
+  snapping included) and places whole groups on workers with a greedy
+  least-loaded assignment; each worker serves exactly the groups it was
+  handed, so a group's plan is built or bank-fetched once, on its worker.
   Per-worker results are gathered to the primary through the
   :class:`~repro.distributed.comm.SimulatedComm` cost model.
 * **Sharded** — the vector exceeds the capacity.  The batch runs the Figure
@@ -75,7 +71,6 @@ from repro.distributed.multigpu import MultiGpuDrTopK
 from repro.distributed.partition import MAX_SUBVECTOR_ELEMENTS
 from repro.errors import ConfigurationError, TenantQuotaError
 from repro.service.batch import (
-    DEFAULT_ALPHA_SNAP_TOLERANCE,
     BatchTopK,
     QueryLike,
     TopKQuery,
@@ -90,11 +85,7 @@ from repro.service.planbank import (
     ChunkMemo,
     PlanBank,
 )
-from repro.service.router import (
-    DEFAULT_MIN_SPLIT_WORK,
-    DEFAULT_SPLIT_THRESHOLD,
-    Router,
-)
+from repro.service.router import Router
 from repro.service.sharedmem import SharedArray
 from repro.service.spill import SpillDirectory
 from repro.service.store import (
@@ -168,12 +159,9 @@ class DispatchReport:
     #: bank-hit group contributed zero construction traffic to bytes_moved.
     plan_bank: Optional[CacheInfo] = None
     plan_bank_hits: int = 0
-    #: Plan-sharing groups the batched route split across >= 2 workers
-    #: (dominant groups above the router's ``split_threshold``).
+    #: Plan-sharing groups split across workers: always 0, since every
+    #: group stays whole on one worker; kept for per-layer benchmark tables.
     groups_split: int = 0
-    #: Shared plan handles handed to split-group work units; the broadcast
-    #: plan behind them was fetched or constructed exactly once per group.
-    plan_broadcasts: int = 0
     #: Streaming chunk-memo statistics and this dispatch's memoised-chunk
     #: serve count (per key order, per chunk).
     chunk_memo: Optional[CacheInfo] = None
@@ -331,16 +319,6 @@ class ServiceDispatcher:
         ``2 * num_workers``.
     chunk_elements:
         Slice size for the streaming route when the input arrives as chunks.
-    split_threshold:
-        Fraction of a batched dispatch's total modelled work above which one
-        plan-sharing group is split across workers with a shared-plan
-        broadcast (see :class:`~repro.service.router.Router`).  ``None``
-        pins every group whole to one worker — the pre-split behaviour and
-        the baseline the ``splitgroup`` experiment compares against.
-    min_split_work:
-        Absolute floor on the modelled per-split workload below which a
-        dominant group stays whole (see
-        :class:`~repro.service.router.Router`); ``0`` disables the floor.
     fused:
         Serve each plan-sharing group through the fused group selection of
         :mod:`repro.service.fusion` (one shared first top-k at the group's
@@ -359,10 +337,6 @@ class ServiceDispatcher:
     promote_after:
         Spill hits after which a spilled name is promoted back into RAM
         (``0`` keeps serving over the mmap view forever).
-    snap_tolerance:
-        Modelled-cost headroom for bank-aware alpha snapping (see
-        :func:`~repro.service.batch.group_queries_by_plan`); ``None``/``0``
-        disables snapping.
     tenants:
         Optional :class:`~repro.service.tenancy.TenantRegistry` turning the
         serving core multi-tenant: the store partitions its working set into
@@ -389,12 +363,9 @@ class ServiceDispatcher:
         execution: str = "threads",
         queue_capacity: Optional[int] = None,
         chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-        split_threshold: Optional[float] = DEFAULT_SPLIT_THRESHOLD,
-        min_split_work: float = DEFAULT_MIN_SPLIT_WORK,
         fused: bool = True,
         spill_dir: Optional[str] = None,
         promote_after: int = DEFAULT_PROMOTE_AFTER,
-        snap_tolerance: Optional[float] = DEFAULT_ALPHA_SNAP_TOLERANCE,
         tenants: Optional[TenantRegistry] = None,
     ) -> None:
         if num_workers < 1:
@@ -434,7 +405,6 @@ class ServiceDispatcher:
         self._spill: Optional[SpillDirectory] = (
             SpillDirectory(spill_dir) if spill_dir is not None else None
         )
-        self._snap_tolerance = snap_tolerance
         self.tenants = tenants
         self.store: Optional[VectorStore] = (
             VectorStore(
@@ -457,7 +427,6 @@ class ServiceDispatcher:
                 cache=self.cache,
                 plan_bank=self.plan_bank,
                 fused=self.fused,
-                snap_tolerance=snap_tolerance,
             )
             for _ in range(self.num_workers)
         ]
@@ -472,9 +441,6 @@ class ServiceDispatcher:
             capacity_elements=self.capacity_elements,
             cache=self.cache,
             plan_bank=self.plan_bank,
-            split_threshold=split_threshold,
-            min_split_work=min_split_work,
-            snap_tolerance=snap_tolerance,
         )
         # Shared-memory copies of admitted sharded vectors (process mode),
         # keyed by content fingerprint; owned here, destroyed on evict or
@@ -894,7 +860,6 @@ class ServiceDispatcher:
                 engine,
                 plan_bank=self.plan_bank,
                 fingerprint=fp,
-                snap_tolerance=self._snap_tolerance,
             )
             offset = start if entry.shard_fingerprints else 0
             for (alpha, largest), positions in groups.items():
@@ -934,9 +899,9 @@ class ServiceDispatcher:
         """Rebuild the manifest's plan geometry for one re-admitted entry.
 
         Returns ``(warmed, skipped)``.  Rebuilding goes through the same
-        :meth:`PlanBank.shared` broadcast primitive a dispatch uses, with
-        ``k=None`` (never degenerate), so the first query after re-admission
-        is a plan-bank hit with zero construction bytes.
+        :meth:`PlanBank.shared` fetch-or-build primitive warm-prepare uses,
+        with ``k=None`` (never degenerate), so the first query after
+        re-admission is a plan-bank hit with zero construction bytes.
         """
         if self._spill is None or self.plan_bank is None:
             return (0, 0)
@@ -1180,14 +1145,6 @@ class ServiceDispatcher:
         units, bplan = self.router.batched_units(
             v, parsed, self.workers, fingerprint=fingerprint
         )
-        # Split-group broadcast accounting: every split group's plan was
-        # fetched or built exactly once (on this, the primary's, thread)
-        # before the units ran; charge the construction to the primary
-        # worker's report so the modelled compute time still covers it.
-        report.groups_split = bplan.groups_split
-        report.plan_broadcasts = bplan.plan_broadcasts
-        report.plan_bank_hits += bplan.broadcast_bank_hits
-        report.construction_bytes += bplan.broadcast_construction_bytes
         outcomes = self.executor.run(units)
 
         results: List[Optional[TopKResult]] = [None] * len(parsed)
@@ -1196,19 +1153,15 @@ class ServiceDispatcher:
         worker_indices: List[np.ndarray] = []
         for w, positions in enumerate(bplan.placement):
             wreport = WorkerReport(worker=w, queries=len(positions), load=bplan.loads[w])
-            if w == 0:
-                wreport.constructions += bplan.broadcast_constructions
-                wreport.compute_ms += bplan.broadcast_construction_ms
-                wreport.bytes_moved += bplan.broadcast_construction_bytes
             outcome = by_worker.get(w)
             if outcome is not None:
                 positions, sub_results, batch_report = outcome.value
                 for pos, res in zip(positions, sub_results):
                     results[pos] = res
                 wreport.groups = batch_report.num_groups
-                wreport.constructions += batch_report.constructions
-                wreport.compute_ms += batch_report.total_ms
-                wreport.bytes_moved += batch_report.total_bytes
+                wreport.constructions = batch_report.constructions
+                wreport.compute_ms = batch_report.total_ms
+                wreport.bytes_moved = batch_report.total_bytes
                 wreport.wall_ms = outcome.wall_ms
                 report.plan_bank_hits += batch_report.plan_bank_hits
                 report.construction_bytes += batch_report.construction_bytes

@@ -6,7 +6,9 @@ the fleet GPU by GPU, and streaming consumed chunks one engine at a time —
 "parallel workers" existed only in the cost model.  :class:`ServiceExecutor`
 is the one place work actually runs now.  Routes describe their work as
 :class:`WorkUnit`\\ s (a closure plus placement metadata) and submit the whole
-set; the executor runs them on a ``concurrent.futures.ThreadPoolExecutor``
+set (the batched route emits one unit per busy worker, each serving whole
+plan-sharing groups, so no two units share a plan handle or an ordering);
+the executor runs them on a ``concurrent.futures.ThreadPoolExecutor``
 (NumPy releases the GIL inside its kernels, so units genuinely overlap on
 multi-core hosts) behind a **bounded submission queue**: at most
 ``queue_capacity`` units are in flight and further submissions block, which is
@@ -113,14 +115,6 @@ class WorkUnit:
         ``streaming``).
     label:
         Human-readable tag for reports and debugging.
-    shares:
-        Provenance of the plan-sharing groups this unit serves (the batched
-        route's :class:`~repro.service.router.GroupShare` records).  Splits
-        of one group appear as shares with the same group key on different
-        units, so a merged report can attribute work back to the group that
-        was split.  Units must stay independently submittable regardless of
-        provenance: a share never implies an execution-order dependency on
-        its sibling splits.
     task:
         Optional :class:`ProcessTask` equivalent of ``fn`` for the process
         executor mode.  ``fn`` stays the source of truth for thread and
@@ -132,7 +126,6 @@ class WorkUnit:
     worker: int = 0
     route: str = ""
     label: str = ""
-    shares: tuple = ()
     task: Optional[ProcessTask] = None
 
 

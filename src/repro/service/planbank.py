@@ -307,16 +307,15 @@ class PlanBank(_ByteBudgetLru):
     ) -> Tuple[QueryPlan, bool]:
         """Shared-handle access: get the banked plan or build it exactly once.
 
-        Returns ``(plan, constructed)``.  This is the broadcast primitive of
-        split-group dispatch: the dispatcher hands the returned plan to every
-        split of a plan-sharing group, so N splits charge **one**
-        construction — and under concurrency (two dispatches racing on the
-        same cold key) the per-key build lock still admits a single builder
-        run while the losers wait and return the winner's plan with
+        Returns ``(plan, constructed)``.  Warm-prepare admission and the
+        warm restart's plan rebuild fetch-or-build through it, so a key is
+        constructed **once** — and under concurrency (two callers racing on
+        the same cold key) the per-key build lock still admits a single
+        builder run while the losers wait and return the winner's plan with
         ``constructed=False``.
 
         The returned handle stays valid even if the entry is invalidated or
-        evicted while splits are in flight — holders keep their reference;
+        evicted while holders are still using it — they keep their reference;
         invalidation only stops *future* lookups from hitting.  A degenerate
         plan (construction skipped at preparation) is returned but never
         banked, matching :meth:`put`.

@@ -373,7 +373,7 @@ class TestWorkWeightedRouting:
             TopKQuery.of((k_small, True)),
             TopKQuery.of((k_small, False)),
         ]
-        placement = router.place_groups(uniform_u32, parsed, engine, fingerprint=fp)
+        placement = router.plan_batched(uniform_u32, parsed, engine, fingerprint=fp).placement
         by_worker = [sorted(p) for p in placement]
         # The cold (k_large) group is position 2; it must sit alone while
         # both cheap bank-hit groups share the other worker.
@@ -385,7 +385,7 @@ class TestWorkWeightedRouting:
         router = Router(num_workers=2, capacity_elements=1 << 20, cache=PartitionCache())
         engine = BatchTopK(cache=router.cache).engine
         parsed = [TopKQuery.of((64, i % 2 == 0)) for i in range(10)]
-        placement = router.place_groups(uniform_u32, parsed, engine)
+        placement = router.plan_batched(uniform_u32, parsed, engine).placement
         assert sorted(len(p) for p in placement) == [5, 5]
 
 
@@ -447,7 +447,7 @@ class TestSharedBroadcastConcurrency:
 
         Queriers fetch a shared handle and answer through it while another
         thread invalidates the fingerprint in a loop — the exact shape of a
-        named-vector eviction racing a split-group broadcast.  No querier
+        named-vector eviction racing in-flight queries.  No querier
         may ever observe a half-invalidated plan: every answer must be
         element-wise exact, and the byte ledger must balance after quiesce.
         """
@@ -572,23 +572,12 @@ class TestBankAwareAlphaSnap:
             assert report.plan_bank_hits == 1
         assert_topk_correct(results[0], v, 32, largest=True)
 
-    def test_snap_disabled_rebuilds(self, rng):
-        v = rng.integers(0, 2**32, size=self.N_SNAP, dtype=np.uint32)
-        with ServiceDispatcher(
-            num_workers=1, result_cache_capacity=0, snap_tolerance=None
-        ) as d:
-            d.dispatch(v, [8])
-            d.dispatch(v, [32])
-            report = d.last_report
-            assert report is not None
-            assert report.constructions == 1, "snap ran while disabled"
-            assert report.plan_bank_hits == 0
-
     def test_snapped_answers_are_identical_to_unsnapped(self, rng):
         v = rng.integers(0, 2**32, size=self.N_SNAP, dtype=np.uint32)
         ks = [8, 32, 32, 8]
+        # No plan bank, so nothing is banked and nothing can snap.
         with ServiceDispatcher(
-            num_workers=1, result_cache_capacity=0, snap_tolerance=None
+            num_workers=1, result_cache_capacity=0, plan_bank_bytes=0
         ) as ref:
             ref.dispatch(v.copy(), [8])
             want = ref.dispatch(v.copy(), ks)
@@ -613,15 +602,3 @@ class TestBankAwareAlphaSnap:
             assert report.constructions == 1
             assert report.plan_bank_hits == 0
         assert_topk_correct(results[0], v, 8, largest=True)
-
-    def test_modelled_cost_matches_expected_work(self):
-        from repro.service.batch import modelled_query_cost
-
-        with ServiceDispatcher(num_workers=1) as d:
-            engine = DrTopK()
-            beta = engine.config.beta
-            for k in (4, 64, 512):
-                alpha = engine._resolve_alpha(self.N_SNAP, k)
-                assert modelled_query_cost(
-                    self.N_SNAP, k, alpha, beta
-                ) == d.router.expected_query_work(self.N_SNAP, k, alpha, beta)

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service.batch import BatchTopK, TopKQuery
+from repro.service import batch as batch_module
+from repro.service import router as router_module
+from repro.service.batch import BatchTopK, TopKQuery, group_queries_by_plan, modelled_query_cost
 from repro.service.cache import PartitionCache
+from repro.service.dispatcher import ServiceDispatcher
 from repro.service.router import Router
 
 
@@ -32,7 +35,7 @@ def test_groups_are_never_split_across_workers(router, uniform_u32):
     # Two plan groups: identical k, opposite key order.
     parsed = [TopKQuery.of((64, i % 2 == 0)) for i in range(10)]
     workers = [BatchTopK(cache=router.cache) for _ in range(3)]
-    placement = router.place_groups(v, parsed, workers[0].engine)
+    placement = router.plan_batched(v, parsed, workers[0].engine).placement
     assert sum(len(p) for p in placement) == len(parsed)
     # Each group's positions all landed on one worker.
     even = {w for w, positions in enumerate(placement) for p in positions if p % 2 == 0}
@@ -42,54 +45,19 @@ def test_groups_are_never_split_across_workers(router, uniform_u32):
 
 
 def test_batched_units_skip_idle_workers(uniform_u32):
-    # With splitting disabled a single group pins to one worker: one unit,
-    # idle workers emit nothing.
-    router = Router(
-        num_workers=3,
-        capacity_elements=1 << 12,
-        cache=PartitionCache(),
-        split_threshold=None,
-    )
+    # A single group pins to one worker: one unit, idle workers emit nothing.
+    router = Router(num_workers=3, capacity_elements=1 << 12, cache=PartitionCache())
     v = uniform_u32[: 1 << 12]
     parsed = [TopKQuery.of(64)] * 4  # one group -> one worker
     workers = [BatchTopK(cache=router.cache) for _ in range(3)]
     units, plan = router.batched_units(v, parsed, workers)
     assert len(units) == 1
     assert units[0].route == "batched"
-    assert plan.groups_split == 0 and not plan.shared_plans
+    assert len(plan.groups) == 1
     positions, results, report = units[0].fn()
     assert positions == [0, 1, 2, 3]
     assert len(results) == 4
     assert report.constructions == 1
-
-
-def test_batched_units_split_dominant_group(router, uniform_u32):
-    # Default splitting: one group owning 100% of the work spreads across
-    # the fleet, every unit sharing one broadcast plan — exactly one
-    # construction happens, at broadcast time, none inside the units.
-    v = uniform_u32[: 1 << 12]
-    parsed = [TopKQuery.of(64)] * 4
-    workers = [BatchTopK(cache=router.cache) for _ in range(3)]
-    units, plan = router.batched_units(v, parsed, workers)
-    assert len(units) == 3
-    assert plan.groups_split == 1
-    assert plan.plan_broadcasts == 3  # one shared handle per split
-    assert plan.broadcast_constructions == 1  # no bank: built directly, once
-    (key,) = plan.shared_plans
-    shared = plan.shared_plans[key]
-    all_positions = []
-    for unit in units:
-        assert unit.shares and all(s.split_total == 3 for s in unit.shares)
-        positions, results, report = unit.fn()
-        all_positions.extend(positions)
-        assert report.constructions == 0  # served from the broadcast handle
-        assert report.shared_plan_groups == 1
-        for res in results:
-            np.testing.assert_array_equal(
-                np.sort(res.values), np.sort(np.sort(v)[::-1][:64])
-            )
-    assert sorted(all_positions) == [0, 1, 2, 3]
-    assert shared is not None and not shared.is_degenerate
 
 
 def test_streaming_units_round_robin_and_slicing(router, uniform_u32):
@@ -122,23 +90,15 @@ def test_router_validation():
         Router(num_workers=0, capacity_elements=10, cache=PartitionCache())
     with pytest.raises(ConfigurationError):
         Router(num_workers=1, capacity_elements=0, cache=PartitionCache())
-    for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(ConfigurationError):
-            Router(
-                num_workers=2,
-                capacity_elements=10,
-                cache=PartitionCache(),
-                split_threshold=bad,
-            )
 
 
 class TestPlacementProperties:
     """Property-based placement: randomized batches and fleets, seeded rng.
 
-    The greedy invariants the split decision must never break, checked over
-    randomized group weights (via random ``(k, largest)`` mixes, which the
-    Rule-4 resolution turns into groups of very different modelled weights)
-    and worker counts.
+    The greedy invariants of whole-group placement, checked over randomized
+    group weights (via random ``(k, largest)`` mixes, which the Rule-4
+    resolution turns into groups of very different modelled weights) and
+    worker counts.
     """
 
     N = 1 << 12
@@ -149,36 +109,18 @@ class TestPlacementProperties:
         flags = rng.integers(0, 2, size=size).astype(bool)
         return [TopKQuery.of((int(k), bool(f))) for k, f in zip(ks, flags)]
 
-    def _item_weights(self, router, parsed, engine):
-        """Mirror plan_batched's item decomposition (no bank: all cold)."""
-        from repro.service.batch import group_queries_by_plan
-
+    def _group_weights(self, router, parsed, engine):
+        """Every group's modelled weight (no bank: all cold)."""
         groups = group_queries_by_plan(parsed, self.N, router.cache, engine)
         beta = engine.config.beta
-        weights = []
-        total = 0.0
-        for (alpha, largest), positions in groups.items():
-            ks = [parsed[p].k for p in positions]
-            group_w = router.expected_group_work(self.N, ks, alpha, beta, False)
-            per_query = [
-                router.expected_query_work(self.N, k, alpha, beta) for k in ks
-            ]
-            weights.append((group_w, per_query, len(positions)))
-            total += group_w
-        items = []
-        for group_w, per_query, size in weights:
-            if (
-                router.split_threshold is not None
-                and router.num_workers > 1
-                and size >= 2
-                and group_w > router.split_threshold * total
-            ):
-                items.extend(per_query)
-            else:
-                items.append(group_w)
-        return items, total
+        return [
+            router.expected_group_work(
+                self.N, [parsed[p].k for p in positions], alpha, beta, False
+            )
+            for (alpha, _), positions in groups.items()
+        ]
 
-    def test_no_worker_exceeds_even_share_plus_one_item(self, rng, uniform_u32):
+    def test_no_worker_exceeds_even_share_plus_one_group(self, rng, uniform_u32):
         v = uniform_u32[: self.N]
         for _ in range(15):
             workers = int(rng.integers(2, 7))
@@ -188,21 +130,17 @@ class TestPlacementProperties:
             engine = BatchTopK(cache=router.cache).engine
             parsed = self._random_batch(rng)
             plan = router.plan_batched(v, parsed, engine)
-            items, total = self._item_weights(router, parsed, engine)
+            weights = self._group_weights(router, parsed, engine)
             # Greedy least-loaded: whoever holds the most never exceeds the
-            # perfectly even share by more than one placed item.  Split
-            # groups contribute per-query items (their construction is paid
-            # once by the broadcast, not by any one worker's placement).
-            placed_total = sum(items)
-            bound = placed_total / workers + max(items)
+            # perfectly even share by more than one placed group.
+            total = sum(weights)
+            bound = total / workers + max(weights)
             assert max(plan.loads) <= bound + 1e-6, (
                 f"worst worker {max(plan.loads)} exceeds {bound} "
                 f"({workers} workers, {len(parsed)} queries)"
             )
-            # The loads are exactly the placed item weights, nothing lost,
-            # and the plan's total is the full modelled work incl. splits'
-            # construction.
-            assert sum(plan.loads) == pytest.approx(placed_total)
+            # The loads are exactly the group weights, nothing lost.
+            assert sum(plan.loads) == pytest.approx(total)
             assert plan.total_weight == pytest.approx(total)
 
     def test_every_position_placed_exactly_once(self, rng, uniform_u32):
@@ -217,17 +155,13 @@ class TestPlacementProperties:
             plan = router.plan_batched(v, parsed, engine)
             placed = sorted(p for positions in plan.placement for p in positions)
             assert placed == list(range(len(parsed)))
-            # Share provenance covers the same positions, once each, and
-            # split_total counts the group's distinct workers.
-            from_shares = sorted(p for s in plan.shares for p in s.positions)
-            assert from_shares == placed
-            by_group = {}
-            for share in plan.shares:
-                by_group.setdefault(share.group, []).append(share)
-            for shares in by_group.values():
-                assert len({s.worker for s in shares}) == len(shares)  # one per worker
-                assert all(s.split_total == len(shares) for s in shares)
-                assert sorted(s.split_index for s in shares) == list(range(len(shares)))
+            # The group map covers the same positions, once each, and every
+            # group sits whole on one worker.
+            grouped = sorted(p for positions in plan.groups.values() for p in positions)
+            assert grouped == placed
+            worker_of = {p: w for w, positions in enumerate(plan.placement) for p in positions}
+            for positions in plan.groups.values():
+                assert len({worker_of[p] for p in positions}) == 1
 
     def test_placement_is_deterministic(self, rng, uniform_u32):
         v = uniform_u32[: self.N]
@@ -246,9 +180,58 @@ class TestPlacementProperties:
 
             first, second = fresh_plan(), fresh_plan()
             assert first.placement == second.placement
-            assert first.shares == second.shares
             assert first.loads == second.loads
-            assert first.split_min_k == second.split_min_k
+            assert first.groups == second.groups
+
+
+class TestSnapRace:
+    """One grouping per batched dispatch: workers never re-group mid-dispatch.
+
+    At n = 2^14 k=8 resolves to alpha 7 and k=32 to alpha 6 (the pair the
+    bank-aware snap tests use).  On a fresh bank both groups are cold, so
+    they land on different workers and each constructs.  A worker that
+    re-grouped against the live bank would instead snap onto the plan its
+    sibling just banked, making the counts depend on execution order.
+    """
+
+    N = 1 << 14
+    QUERIES = [32, 32, 8]
+
+    def _counts(self, v, execution):
+        with ServiceDispatcher(
+            num_workers=2, result_cache_capacity=0, execution=execution
+        ) as d:
+            results = d.dispatch(v, self.QUERIES)
+            report = d.last_report
+        for k, res in zip(self.QUERIES, results):
+            np.testing.assert_array_equal(res.values, np.sort(v)[::-1][:k])
+        return report.constructions, report.plan_bank_hits
+
+    def test_sequential_counts(self, rng):
+        v = rng.integers(0, 2**32, size=self.N, dtype=np.uint32)
+        assert self._counts(v, "sequential") == (2, 0)
+
+    def test_threaded_counts_are_repeatable(self, rng):
+        v = rng.integers(0, 2**32, size=self.N, dtype=np.uint32)
+        for _ in range(10):
+            assert self._counts(v, "threads") == (2, 0)
+
+    def test_batched_dispatch_groups_once(self, rng, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return group_queries_by_plan(*args, **kwargs)
+
+        monkeypatch.setattr(router_module, "group_queries_by_plan", spy)
+        monkeypatch.setattr(batch_module, "group_queries_by_plan", spy)
+        v = rng.integers(0, 2**32, size=self.N, dtype=np.uint32)
+        with ServiceDispatcher(
+            num_workers=2, result_cache_capacity=0, execution="sequential"
+        ) as d:
+            d.dispatch(v, self.QUERIES)
+            assert d.last_report.route == "batched"
+        assert len(calls) == 1
 
 
 class TestExpectedWorkGuards:
@@ -302,4 +285,4 @@ class TestExpectedWorkGuards:
         with pytest.raises(ConfigurationError):
             router.expected_group_work(1 << 12, [16], 8, 0, False)
         with pytest.raises(ConfigurationError):
-            router.expected_query_work(1 << 12, 0, 8, 2)
+            modelled_query_cost(1 << 12, 0, 8, 2)

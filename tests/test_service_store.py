@@ -330,12 +330,12 @@ class TestRouterAffinity:
         parsed = [TopKQuery.of(16)]
         fp = fingerprint_array(uniform_u32)
         # Without history, a single group lands on the first (least-loaded).
-        placement = router.place_groups(uniform_u32, parsed, engine, fingerprint=fp)
+        placement = router.plan_batched(uniform_u32, parsed, engine, fingerprint=fp).placement
         assert placement[0] == [0]
         # With history and a remembered worker, placement follows it.
         router.note_queries(fp, 1)
         router._affinity[fp] = 2
-        placement = router.place_groups(uniform_u32, parsed, engine, fingerprint=fp)
+        placement = router.plan_batched(uniform_u32, parsed, engine, fingerprint=fp).placement
         assert placement[2] == [0]
 
     def test_affinity_records_heaviest_groups_worker(self, uniform_u32):
@@ -356,14 +356,14 @@ class TestRouterAffinity:
         # Three distinct Rule-4 alphas -> three cold groups of similar weight.
         parsed = [TopKQuery.of(k) for k in (2, 64, 2048)]
         fp = fingerprint_array(uniform_u32)
-        placement = router.place_groups(uniform_u32, parsed, engine, fingerprint=fp)
+        placement = router.plan_batched(uniform_u32, parsed, engine, fingerprint=fp).placement
         heaviest_worker = next(
             w for w, positions in enumerate(placement) if len(positions) == 1
         )
         assert router._affinity[fp] == heaviest_worker
         # A repeat dispatch keeps the heaviest group on that same worker.
         router.note_queries(fp, len(parsed))
-        again = router.place_groups(uniform_u32, parsed, engine, fingerprint=fp)
+        again = router.plan_batched(uniform_u32, parsed, engine, fingerprint=fp).placement
         assert placement[heaviest_worker][0] in again[heaviest_worker]
 
     def test_forget_drops_history(self):
@@ -424,10 +424,10 @@ class TestConcurrentHammer:
     def test_query_racing_evict_admit_keeps_plans_whole(self, rng):
         """Warm queries racing evict/re-admit cascades: answers stay exact.
 
-        Queriers hammer split-group batches against a named vector while a
-        churner evicts and re-admits it (same content) — every eviction
-        cascades invalidation into the plan bank while in-flight splits may
-        hold the broadcast plan.  No query may ever observe a
+        Queriers hammer batches against a named vector while a churner
+        evicts and re-admits it (same content) — every eviction cascades
+        invalidation into the plan bank while in-flight queries may hold the
+        banked plan.  No query may ever observe a
         half-invalidated plan: a query either fails with the documented
         "no vector named" error (evicted between admit cycles — legal) or
         returns element-wise exact answers.  After quiesce every cache's
@@ -445,8 +445,7 @@ class TestConcurrentHammer:
                 try:
                     for i in range(15):
                         k = ks[i % len(ks)]
-                        # 4 identical queries: a 100%-dominant group, so the
-                        # batched route splits it and broadcasts the plan.
+                        # 4 identical queries: one plan-sharing group.
                         try:
                             results = d.query("hot", [(k, True)] * 4)
                         except ConfigurationError:
