@@ -6,7 +6,8 @@ contact — every plan group pays ``to_keys`` plus the delegate-construction
 scan) and warm (a *changed* 16-query mix whose ``k``\\ s resolve the same
 Rule-4 ``alpha``, so only the plan bank — or, for streaming, the chunk
 memo — can remove work; the result cache is disabled).  The warm path must
-record **zero** construction traffic on every route, move at least 5× fewer
+record **zero** construction traffic on every route (and, on the streaming
+route, serve every chunk from the memo), move at least 5× fewer
 simulated bytes than cold on the batched replay, and answer element-wise
 identically to a bank-less dispatcher.
 
@@ -69,6 +70,17 @@ def test_hotpath_reuse(benchmark, record_rows):
         f"cold ({batched_cold['wall_ms']:.2f} ms)"
     )
 
-    # Streaming replays serve every chunk from the memo.
-    assert by[("streaming", "warm")]["chunk_memo_hits"] > 0
+    # Streaming replays serve every chunk from the memo — filtered chunks
+    # included — so the warm row is all hits and zero constructions.  The
+    # experiment slices the vector into chunks of n // (2 * WORKERS)
+    # elements under one key order.
+    n = scaled(1 << 18)
+    chunk = max(n // (2 * WORKERS), 1)
+    stream_chunks = -(-n // chunk)
+    stream_warm = by[("streaming", "warm")]
+    assert stream_warm["chunk_memo_hits"] == stream_chunks, (
+        f"warm streaming replay served {stream_warm['chunk_memo_hits']} of "
+        f"{stream_chunks} chunks from the memo"
+    )
+    assert stream_warm["constructions"] == 0
     assert by[("streaming", "cold")]["chunk_memo_hits"] == 0

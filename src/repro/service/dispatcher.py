@@ -26,9 +26,12 @@ Three routes run through the core:
   gather traffic and construction counts.
 * **Streaming** — the input is an iterable of chunks rather than a vector.
   Each chunk becomes one work unit on the next worker round-robin; chunk
-  candidates merge into per-query pools on the primary and a final pass
-  orders each answer — the fleet-routed version of
-  :class:`~repro.service.streaming.StreamingTopK`.
+  candidates merge into one ``K = max(k)`` pool per key order on the
+  primary and a final pass orders each answer — the fleet-routed version of
+  :class:`~repro.service.streaming.StreamingTopK`.  A primer runs the first
+  units one at a time until every pool holds ``K`` candidates; the pool's
+  k-th value is then a fixed floor, and every later unit drops its chunk's
+  elements below it before any delegate pipeline runs.
 
 Four shared caches sit in front of the routes: the Rule-4
 :class:`~repro.service.cache.PartitionCache` (``(n, k) → alpha``), the
@@ -59,6 +62,7 @@ content's banked bytes unless another admitted name aliases it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -77,7 +81,7 @@ from repro.service.batch import (
     group_queries_by_plan,
 )
 from repro.service.cache import CacheInfo, PartitionCache, ResultCache, fingerprint_array
-from repro.service.executor import ServiceExecutor, UnitResult
+from repro.service.executor import ServiceExecutor, UnitResult, WorkUnit
 from repro.service.fusion import ArenaInfo, arena_info
 from repro.service.planbank import (
     DEFAULT_CHUNK_MEMO_BYTES,
@@ -85,7 +89,7 @@ from repro.service.planbank import (
     ChunkMemo,
     PlanBank,
 )
-from repro.service.router import Router
+from repro.service.router import ChunkOutcome, Router
 from repro.service.sharedmem import SharedArray
 from repro.service.spill import SpillDirectory
 from repro.service.store import (
@@ -96,8 +100,11 @@ from repro.service.store import (
 )
 from repro.service.streaming import (
     DEFAULT_CHUNK_ELEMENTS,
+    floor_key,
     merge_candidate_pool,
+    merge_rerun_candidates,
     order_candidate_pool,
+    pool_floor,
 )
 from repro.service.tenancy import DEFAULT_TENANT, TenantRegistry
 from repro.types import TopKResult
@@ -163,7 +170,8 @@ class DispatchReport:
     #: group stays whole on one worker; kept for per-layer benchmark tables.
     groups_split: int = 0
     #: Streaming chunk-memo statistics and this dispatch's memoised-chunk
-    #: serve count (per key order, per chunk).
+    #: serve count (per key order, per chunk; a tentative serve counts only
+    #: if the final pool vouched for it, otherwise its chunk re-ran).
     chunk_memo: Optional[CacheInfo] = None
     chunk_memo_hits: int = 0
     #: Named-vector working-set statistics (``None`` when the store is
@@ -194,6 +202,9 @@ class DispatchReport:
     process_units: int = 0
     process_fallbacks: int = 0
     shared_memory_units: int = 0
+    #: Measured executor statistics, summed over every executor run of the
+    #: dispatch (a streaming dispatch runs its primer units one at a time,
+    #: then the rest, then any memo re-runs).
     wall_ms: float = 0.0
     unit_wall_ms_sum: float = 0.0
     #: Measured submit-to-start queue waits of this dispatch's work units —
@@ -478,7 +489,7 @@ class ServiceDispatcher:
         )
         arena_before = arena_info()
         if not parsed:
-            self._finish(report, ran_units=False, arena_before=arena_before)
+            self._finish(report, arena_before=arena_before)
             return []
 
         # Plain Python sequences of numbers are a vector spelled as a list
@@ -501,7 +512,7 @@ class ServiceDispatcher:
             # (e.g. the fleet's topk_batch), so identity rides a thread-local.
             with self.executor.tenant_context(tenant):
                 results = self._dispatch_streaming(v, parsed, report)
-            self._finish(report, ran_units=True, arena_before=arena_before)
+            self._finish(report, arena_before=arena_before)
             return results
 
         v = ensure_1d(v)
@@ -545,7 +556,7 @@ class ServiceDispatcher:
         else:
             report.route = "cached"
 
-        self._finish(report, ran_units=bool(pending), arena_before=arena_before)
+        self._finish(report, arena_before=arena_before)
         final = [r for r in results if r is not None]
         if len(final) != len(parsed):
             raise ConfigurationError("internal error: dispatcher lost queries")
@@ -865,7 +876,7 @@ class ServiceDispatcher:
             for (alpha, largest), positions in groups.items():
                 min_k = min(parsed[p].k for p in positions)
                 self._warm_one(fp, view, alpha, largest, min_k, offset, report)
-        self._finish(report, ran_units=False)
+        self._finish(report)
 
     def _warm_one(
         self,
@@ -1099,22 +1110,27 @@ class ServiceDispatcher:
         self.shutdown()
 
     # -- shared bookkeeping ----------------------------------------------------
-    def _finish(
-        self,
-        report: DispatchReport,
-        ran_units: bool,
-        arena_before: Optional[ArenaInfo] = None,
-    ) -> None:
-        """Attach cache and measured-executor statistics, publish the report."""
+    def _run_units(self, report: DispatchReport, units: Iterable[WorkUnit]) -> List[UnitResult]:
+        """Run units on the executor, adding the run's measured statistics to ``report``."""
+        outcomes = self.executor.run(units)
+        self._note_executor_run(report)
+        return outcomes
+
+    def _note_executor_run(self, report: DispatchReport) -> None:
+        """Add the executor's last run to ``report`` (a dispatch may run several)."""
         exec_report = self.executor.last_report
-        if exec_report is not None and ran_units:
-            report.wall_ms = exec_report.wall_ms
-            report.unit_wall_ms_sum = exec_report.unit_wall_ms_sum
-            report.unit_queue_ms_sum = exec_report.unit_queue_ms_sum
-            report.max_unit_queue_ms = exec_report.max_unit_queue_ms
-            report.backpressure_waits = exec_report.backpressure_waits
-            report.process_units = exec_report.process_units
-            report.process_fallbacks = exec_report.process_fallbacks
+        if exec_report is None:
+            return
+        report.wall_ms += exec_report.wall_ms
+        report.unit_wall_ms_sum += exec_report.unit_wall_ms_sum
+        report.unit_queue_ms_sum += exec_report.unit_queue_ms_sum
+        report.max_unit_queue_ms = max(report.max_unit_queue_ms, exec_report.max_unit_queue_ms)
+        report.backpressure_waits += exec_report.backpressure_waits
+        report.process_units += exec_report.process_units
+        report.process_fallbacks += exec_report.process_fallbacks
+
+    def _finish(self, report: DispatchReport, arena_before: Optional[ArenaInfo] = None) -> None:
+        """Attach cache statistics and publish the report."""
         report.arena = arena_after = arena_info()
         if arena_before is not None:
             # Deltas cover this process's arenas only — process-mode workers
@@ -1145,7 +1161,7 @@ class ServiceDispatcher:
         units, bplan = self.router.batched_units(
             v, parsed, self.workers, fingerprint=fingerprint
         )
-        outcomes = self.executor.run(units)
+        outcomes = self._run_units(report, units)
 
         results: List[Optional[TopKResult]] = [None] * len(parsed)
         by_worker: Dict[int, UnitResult] = {o.unit.worker: o for o in outcomes}
@@ -1234,6 +1250,7 @@ class ServiceDispatcher:
             shard_fingerprints=shard_fingerprints,
             shared_ref=shared.ref if shared is not None else None,
         )
+        self._note_executor_run(report)
         report.communication_ms = mreport.communication_ms
         report.constructions = mreport.constructions
         report.construction_bytes = mreport.construction_bytes
@@ -1271,16 +1288,29 @@ class ServiceDispatcher:
         report: DispatchReport,
     ) -> List[TopKResult]:
         report.route = "streaming"
+        # One candidate pool per key order, at that order's K = max(k); each
+        # query's answer is the top-k of its order's pool.
+        kmax: Dict[bool, int] = {}
+        for q in parsed:
+            kmax[q.largest] = max(kmax.get(q.largest, 0), q.k)
+        pools: Dict[bool, Tuple[Optional[np.ndarray], np.ndarray]] = {
+            largest: (None, np.empty(0, dtype=np.int64)) for largest in kmax
+        }
 
         def make_engine() -> BatchTopK:
             # Units for one worker may overlap in the pool, so each unit gets
             # a fresh engine; the alpha cache is the shared state.
             return BatchTopK(self.config, cache=self.cache, fused=self.fused)
 
+        floors: Dict[bool, np.generic] = {}
         units = self.router.streaming_units(
-            chunks, parsed, self.chunk_elements, make_engine, chunk_memo=self.chunk_memo
+            chunks,
+            parsed,
+            self.chunk_elements,
+            make_engine,
+            chunk_memo=self.chunk_memo,
+            floors=floors,
         )
-        outcomes = self.executor.run(units)
 
         worker_reports = [WorkerReport(worker=w) for w in range(self.num_workers)]
         comm = SimulatedComm(
@@ -1288,46 +1318,92 @@ class ServiceDispatcher:
             gpus_per_node=self.gpus_per_node,
             cost=self.comm_cost,
         )
-        pools: List[Tuple[Optional[np.ndarray], np.ndarray]] = [
-            (None, np.empty(0, dtype=np.int64)) for _ in parsed
-        ]
+        held: List[Tuple[int, ChunkOutcome]] = []
         total_elements = 0
-        for outcome in outcomes:
-            offset, length, by_largest, chunk_report, memo_hits = outcome.value
-            total_elements += length
-            w = outcome.unit.worker
-            wrep = worker_reports[w]
-            wrep.queries += 1  # one chunk unit
-            wrep.wall_ms += outcome.wall_ms
-            report.chunk_memo_hits += memo_hits
-            # A fully memoised chunk ran no pipeline at all: no report, no
-            # constructions, zero bytes — the streaming zero-rescan path.
-            if chunk_report is not None:
-                wrep.groups += chunk_report.num_groups
-                wrep.constructions += chunk_report.constructions
-                wrep.compute_ms += chunk_report.total_ms
-                wrep.bytes_moved += chunk_report.total_bytes
-                report.construction_bytes += chunk_report.construction_bytes
-                report.selection_calls += chunk_report.selection_calls
-                report.fused_groups += chunk_report.fused_groups
-                report.fused_queries += chunk_report.fused_queries
-                for name, ms in chunk_report.fusion_stage_ms.items():
-                    report.fusion_stage_ms[name] = (
-                        report.fusion_stage_ms.get(name, 0.0) + ms
+
+        def absorb(outcomes: List[UnitResult], rerun: bool = False) -> None:
+            nonlocal total_elements
+            for outcome in outcomes:
+                chunk: ChunkOutcome = outcome.value
+                w = outcome.unit.worker
+                wrep = worker_reports[w]
+                wrep.wall_ms += outcome.wall_ms
+                report.chunk_memo_hits += chunk.memo_hits
+                if not rerun:
+                    total_elements += chunk.length
+                    wrep.queries += 1  # one chunk unit
+                # A fully memoised chunk ran no pipeline at all: no report, no
+                # constructions, zero bytes — the streaming zero-rescan path.
+                for chunk_report in chunk.reports:
+                    wrep.groups += chunk_report.num_groups
+                    wrep.constructions += chunk_report.constructions
+                    wrep.compute_ms += chunk_report.total_ms
+                    wrep.bytes_moved += chunk_report.total_bytes
+                    report.construction_bytes += chunk_report.construction_bytes
+                    report.selection_calls += chunk_report.selection_calls
+                    report.fused_groups += chunk_report.fused_groups
+                    report.fused_queries += chunk_report.fused_queries
+                    for name, ms in chunk_report.fusion_stage_ms.items():
+                        report.fusion_stage_ms[name] = (
+                            report.fusion_stage_ms.get(name, 0.0) + ms
+                        )
+                for largest, local in chunk.candidates.items():
+                    # The chunk's candidates travel from its worker to the primary.
+                    if w != 0:
+                        comm.send(local.values, src=w, dst=0)
+                        comm.send(local.indices, src=w, dst=0)
+                        report.bytes_moved += float(local.values.nbytes + local.indices.nbytes)
+                    merge = merge_rerun_candidates if rerun else merge_candidate_pool
+                    pool_v, pool_i = pools[largest]
+                    pools[largest] = merge(
+                        pool_v,
+                        pool_i,
+                        local.values,
+                        local.indices + chunk.offset,
+                        kmax[largest],
+                        largest,
                     )
-            # The chunk's candidates travel from its worker to the primary.
-            for local in by_largest.values():
-                if w != 0:
-                    comm.send(local.values, src=w, dst=0)
-                    comm.send(local.indices, src=w, dst=0)
-                    report.bytes_moved += float(local.values.nbytes + local.indices.nbytes)
-            # Merge into each query's candidate pool on the primary.
-            for pos, q in enumerate(parsed):
-                local = by_largest[q.largest]
-                pool_v, pool_i = pools[pos]
-                pools[pos] = merge_candidate_pool(
-                    pool_v, pool_i, local.values, local.indices + offset, q.k, q.largest
+                if chunk.uncertified:
+                    held.append((w, chunk))
+
+        # Primer: chunk units run one at a time until every key order's pool
+        # holds K candidates.  Its k-th value becomes that order's floor,
+        # fixed from here on, so every later unit filters its chunk before
+        # any delegate pipeline runs — and counts never depend on the order
+        # in which the remaining units complete.
+        for unit in units:
+            absorb(self._run_units(report, [unit]))
+            primed = {o: pool_floor(pools[o][0], kmax[o], o) for o in kmax}
+            if all(floor is not None for floor in primed.values()):
+                floors.update(primed)
+                absorb(self._run_units(report, units))
+                break
+
+        # A memo entry distilled under a higher floor than this dispatch's
+        # stands only if the final pool's k-th key reaches its floor; any
+        # other is re-run unfiltered and merged without duplicates.
+        reruns: List[WorkUnit] = []
+        for w, chunk in held:
+            stale = []
+            for largest, entry_floor in chunk.uncertified.items():
+                pool_v, _ = pools[largest]
+                dtype = chunk.candidates[largest].values.dtype
+                reached = floor_key(pool_floor(pool_v, kmax[largest], largest), dtype, largest)
+                if reached is not None and reached >= entry_floor:
+                    report.chunk_memo_hits += 1
+                else:
+                    stale.append(largest)
+            if stale:
+                reruns.append(
+                    WorkUnit(
+                        fn=functools.partial(chunk.rerun, stale),
+                        worker=w,
+                        route="streaming",
+                        label=f"rerun@{chunk.offset}",
+                    )
                 )
+        if reruns:
+            absorb(self._run_units(report, reruns), rerun=True)
 
         if total_elements == 0:
             raise ConfigurationError("streaming dispatch received no data")
@@ -1338,9 +1414,12 @@ class ServiceDispatcher:
                 )
 
         results: List[TopKResult] = []
-        for pos, q in enumerate(parsed):
-            pool_v, pool_i = pools[pos]
+        for q in parsed:
+            pool_v, pool_i = pools[q.largest]
             assert pool_v is not None
+            # Trim the order's K-pool to the query's own top-k, so the final
+            # pass orders k candidates, not K.
+            pool_v, pool_i = merge_candidate_pool(None, pool_i, pool_v, pool_i, q.k, q.largest)
             values, global_idx, finalize_bytes = order_candidate_pool(
                 pool_v, pool_i, q.k, q.largest, self.config
             )

@@ -19,11 +19,13 @@ byte-budgeted LRU caches close that gap:
   replay of a plan-sharing group pays zero constructions *and* a single
   shared selection pass, however many queries the group holds.
 * :class:`ChunkMemo` — ``(chunk fingerprint, k, largest) → TopKResult`` with
-  *chunk-local* indices.  Streams cannot be fingerprinted without consuming
-  them, so the streaming route memoises per chunk instead: a replayed stream
-  (or a shared prefix) serves each chunk's candidate pool from the memo with
-  zero pipeline work.  Indices are stored chunk-local and offset at merge
-  time, so a hit is position-independent.
+  *chunk-local* indices, plus the stream floor the chunk was filtered
+  against.  Streams cannot be fingerprinted without consuming them, so the
+  streaming route memoises per chunk instead: a replayed stream (or a
+  shared prefix) serves each chunk's candidate pool from the memo with zero
+  pipeline work.  Indices are stored chunk-local and offset at merge time,
+  so a hit is position-independent; a filtered entry is only trusted once
+  the consuming stream's k-th key reaches its floor.
 
 Both caches are thread-safe (executor units hit them concurrently) and
 byte-budgeted rather than entry-counted: a plan's resident size is dominated
@@ -352,22 +354,53 @@ class ChunkMemo(_ByteBudgetLru):
     streaming merge adds the chunk's stream offset, so one memoised chunk
     serves replays at any position.  Entries charge their candidate arrays
     (k-bounded, so a generous number of chunks fits a small budget).
+
+    Each entry also records the stream **floor** it was distilled under: the
+    key (in the chunk's key space) below which the chunk's elements were
+    dropped before distillation, or ``None`` for an unfiltered chunk.  A
+    filtered entry holds the chunk's top-k only among elements at or above
+    its floor, so it is exact for a stream whose final k-th key reaches that
+    floor — :meth:`lookup` tells the caller whether it can vouch for that yet.
     """
 
     def __init__(self, capacity_bytes: int = DEFAULT_CHUNK_MEMO_BYTES) -> None:
         super().__init__(
             capacity_bytes,
-            size_of=lambda r: int(r.values.nbytes) + int(r.indices.nbytes),
+            size_of=lambda entry: int(entry[0].values.nbytes) + int(entry[0].indices.nbytes),
         )
 
-    def get(self, fingerprint: str, k: int, largest: bool) -> Optional[TopKResult]:
-        """Memoised chunk candidates for the key, or ``None`` on a miss."""
-        key: _ChunkKey = (fingerprint, int(k), bool(largest))
-        result = self._get(key)
-        assert result is None or isinstance(result, TopKResult)
-        return result
+    def lookup(
+        self, fingerprint: str, k: int, largest: bool, floor: Optional[int]
+    ) -> Optional[Tuple[TopKResult, Optional[int]]]:
+        """Memoised candidates served under the caller's current ``floor``.
 
-    def put(self, fingerprint: str, k: int, largest: bool, result: TopKResult) -> bool:
-        """Memoise one chunk's local candidates; True if admitted."""
+        Returns ``None`` on a miss, else ``(result, pending)``: ``pending`` is
+        ``None`` when the entry is certified — it was unfiltered, or its
+        floor is at or below ``floor`` — and otherwise the entry's floor,
+        which the caller's final k-th key must reach before the candidates
+        can stand (the chunk is re-run unfiltered if it never does).
+        """
+        entry = self._get((fingerprint, int(k), bool(largest)))
+        if entry is None:
+            return None
+        result, entry_floor = entry
+        if entry_floor is None or (floor is not None and entry_floor <= floor):
+            return result, None
+        return result, entry_floor
+
+    def get(self, fingerprint: str, k: int, largest: bool) -> Optional[TopKResult]:
+        """Memoised chunk candidates for the key (whatever their floor), or ``None``."""
+        entry = self._get((fingerprint, int(k), bool(largest)))
+        return None if entry is None else entry[0]
+
+    def put(
+        self,
+        fingerprint: str,
+        k: int,
+        largest: bool,
+        result: TopKResult,
+        floor: Optional[int] = None,
+    ) -> bool:
+        """Memoise one chunk's local candidates distilled under ``floor``; True if admitted."""
         key: _ChunkKey = (fingerprint, int(k), bool(largest))
-        return self._put(key, result)
+        return self._put(key, (result, floor))

@@ -24,7 +24,8 @@ decides which route serves it —
   of the Figure 16 multi-GPU workflow and the batch runs with per-shard plan
   reuse through :meth:`~repro.distributed.multigpu.MultiGpuDrTopK.topk_batch`;
 * **streaming** — the input is not an in-memory vector but an iterable of
-  chunks; each chunk becomes one work unit on the next worker round-robin and
+  chunks; each chunk becomes one work unit on the next worker round-robin,
+  filtered against the stream floor once the dispatcher has primed one, and
   the candidate pools merge on the primary.
 
 The router only *describes* work (as :class:`~repro.service.executor.WorkUnit`
@@ -34,6 +35,7 @@ closures); the :class:`~repro.service.executor.ServiceExecutor` runs it and
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -42,6 +44,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.service.batch import (
+    BatchReport,
     BatchTopK,
     TopKQuery,
     group_queries_by_plan,
@@ -50,18 +53,16 @@ from repro.service.batch import (
 from repro.service.cache import PartitionCache, fingerprint_array
 from repro.service.executor import WorkUnit
 from repro.service.planbank import ChunkMemo, PlanBank
+from repro.service.streaming import distil_chunk, floor_key
 from repro.service.tenancy import DEFAULT_TENANT
 from repro.types import TopKResult
 from repro.utils import ceil_div
 
-__all__ = ["Router", "BatchedPlan"]
+__all__ = ["Router", "BatchedPlan", "ChunkOutcome"]
 
 #: Route names emitted by :meth:`Router.classify`.
 ROUTES = ("batched", "sharded", "streaming")
 
-#: What one streaming work unit returns: ``(offset, length, {largest: result},
-#: engine report or None, memo hits)``.
-_ChunkOutcome = Tuple[int, int, Dict[bool, TopKResult], Any, int]
 
 #: Load slack (as a fraction of the dispatch's total weight) within which
 #: placement prefers a repeat vector's remembered worker over the strictly
@@ -87,6 +88,28 @@ class BatchedPlan:
     #: The dispatch's one grouping: ``(alpha, largest)`` → query positions.
     #: Each group's positions all sit on one worker.
     groups: Dict[Tuple[int, bool], List[int]] = field(default_factory=dict)
+
+
+@dataclass
+class ChunkOutcome:
+    """What one streaming work unit returns (see :meth:`Router.streaming_units`)."""
+
+    #: The chunk's position in the stream and its element count.
+    offset: int
+    length: int
+    #: Re-distils the chunk for the given key orders, unfiltered and
+    #: bypassing the memo lookup (the fresh candidates replace the entry).
+    rerun: Callable[[Sequence[bool]], "ChunkOutcome"]
+    #: Chunk-local candidates (at most ``K`` per key order).
+    candidates: Dict[bool, TopKResult] = field(default_factory=dict)
+    #: Reports of the unit's pipeline runs plus one per floor-filter pass;
+    #: empty when every key order was served from the chunk memo.
+    reports: List[BatchReport] = field(default_factory=list)
+    #: Key orders served by a certified chunk-memo entry.
+    memo_hits: int = 0
+    #: Key order → floor of a memo entry served tentatively: its candidates
+    #: stand only if the stream's final k-th key reaches that floor.
+    uncertified: Dict[bool, int] = field(default_factory=dict)
 
 
 class Router:
@@ -366,63 +389,90 @@ class Router:
         chunk_elements: int,
         make_engine: Callable[[], BatchTopK],
         chunk_memo: Optional[ChunkMemo] = None,
+        floors: Optional[Dict[bool, np.generic]] = None,
     ) -> Iterator[WorkUnit]:
         """Lazily emit one :class:`WorkUnit` per stream chunk, round-robin.
 
         ``chunks`` may be a single array (sliced transparently) or any
         iterable of 1-D arrays; oversized arrays are split to
         ``chunk_elements``.  Each unit distils its chunk into at most
-        ``max(k)`` candidates per key order present in the batch — one local
-        pipeline run per key order, shared by every query — and returns
-        ``(offset, length, {largest: TopKResult}, report, memo_hits)`` where
-        ``report`` is ``None`` when every key order was served from the
-        chunk memo (zero pipeline work).  Units are yielded lazily so the
-        executor's bounded queue also bounds read-ahead.
+        ``K = max(k)`` candidates per key order present in the batch — one
+        :func:`~repro.service.streaming.distil_chunk` call per key order,
+        shared by every query — and returns a :class:`ChunkOutcome`.  Units
+        are yielded lazily so the executor's bounded queue also bounds
+        read-ahead.
+
+        ``floors`` maps a key order to the stream floor (the k-th value of
+        that order's K-candidate pool).  It is read as each unit is
+        *emitted*, so a caller that fills it after running the first units
+        (the dispatcher's primer) has every later unit filter its chunk
+        against the floor before any delegate pipeline runs.
 
         ``make_engine`` builds a fresh per-unit :class:`BatchTopK` (units for
         one worker may overlap in the pool, so they cannot share an engine).
         ``chunk_memo`` (when given) memoises each chunk's local candidates by
-        content fingerprint, so a replayed stream — or a shared prefix at any
-        offset — skips the per-chunk pipeline entirely.
+        content fingerprint together with the floor they were distilled
+        under, so a replayed stream — or a shared prefix at any offset —
+        skips the per-chunk pipeline entirely.  An entry distilled under a
+        higher floor than the unit's is served tentatively: the outcome
+        lists it in ``uncertified`` and carries a ``rerun`` that re-distils
+        the chunk unfiltered should the caller's final pool never reach it.
         """
-        kmax: dict = {}
+        kmax: Dict[bool, int] = {}
         for q in parsed:
             kmax[q.largest] = max(kmax.get(q.largest, 0), q.k)
+        live_floors = floors if floors is not None else {}
 
         if isinstance(chunks, np.ndarray):
             chunks = [chunks]
 
-        def chunk_fn(piece: np.ndarray, offset: int) -> Callable[[], _ChunkOutcome]:
-            local_queries = [
-                (min(k, piece.shape[0]), largest) for largest, k in sorted(kmax.items())
-            ]
+        def distil_piece(
+            piece: np.ndarray,
+            offset: int,
+            floors: Dict[bool, np.generic],
+            orders: Sequence[bool] = tuple(sorted(kmax)),
+            reuse: bool = True,
+        ) -> ChunkOutcome:
+            n = piece.shape[0]
+            outcome = ChunkOutcome(
+                offset=offset,
+                length=n,
+                rerun=functools.partial(distil_piece, piece, offset, {}, reuse=False),
+            )
+            fp = fingerprint_array(piece) if chunk_memo is not None else None
+            engine = make_engine()
 
-            def run() -> _ChunkOutcome:
-                by_largest = {}
-                memo_hits = 0
-                pending = list(local_queries)
-                fp = fingerprint_array(piece) if chunk_memo is not None else None
+            def distil(values: np.ndarray, k: int, largest: bool) -> TopKResult:
+                result = engine.run(values, [(k, largest)])[0]
+                assert engine.last_report is not None
+                outcome.reports.append(engine.last_report)
+                return result
+
+            for largest in orders:
+                kk = min(kmax[largest], n)
+                floor = floor_key(floors.get(largest), piece.dtype, largest)
+                served = None
+                if fp is not None and reuse:
+                    served = chunk_memo.lookup(fp, kk, largest, floor)
+                if served is not None:
+                    outcome.candidates[largest], pending = served
+                    if pending is None:
+                        outcome.memo_hits += 1
+                    else:
+                        outcome.uncertified[largest] = pending
+                    continue
+                result, filter_bytes, filter_ms = distil_chunk(
+                    piece, kk, largest, floor, distil, engine.config
+                )
+                if floor is not None:
+                    # The filter pass is one kernel step of the unit.
+                    outcome.reports.append(
+                        BatchReport(query_bytes=filter_bytes, query_ms=filter_ms)
+                    )
+                outcome.candidates[largest] = result
                 if fp is not None:
-                    pending = []
-                    for kk, largest in local_queries:
-                        hit = chunk_memo.get(fp, kk, largest)
-                        if hit is not None:
-                            by_largest[largest] = hit
-                            memo_hits += 1
-                        else:
-                            pending.append((kk, largest))
-                report = None
-                if pending:
-                    engine = make_engine()
-                    results = engine.run(piece, pending)
-                    report = engine.last_report
-                    for (kk, largest), result in zip(pending, results):
-                        by_largest[largest] = result
-                        if fp is not None:
-                            chunk_memo.put(fp, kk, largest, result)
-                return offset, piece.shape[0], by_largest, report, memo_hits
-
-            return run
+                    chunk_memo.put(fp, kk, largest, result, floor)
+            return outcome
 
         def generate() -> Iterator[WorkUnit]:
             offset = 0
@@ -439,7 +489,7 @@ class Router:
                         continue
                     worker = index % self.num_workers
                     yield WorkUnit(
-                        fn=chunk_fn(piece, offset),
+                        fn=functools.partial(distil_piece, piece, offset, dict(live_floors)),
                         worker=worker,
                         route="streaming",
                         label=f"chunk{index}@worker{worker}",

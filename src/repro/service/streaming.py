@@ -7,23 +7,40 @@ consumed chunk by chunk — from an iterator, a generator reading from disk, or
 an in-memory array sliced lazily — so only ``chunk_elements`` values plus a
 ``k``-bounded candidate pool are ever resident.
 
-Each chunk runs the delegate-centric pipeline (construction, first top-k,
-filtered concatenation, second top-k) to distil the chunk into at most ``k``
-candidates; the candidates merge into a running pool that is trimmed to the
-exact top-k of everything seen so far, which doubles as a streaming Rule-2
-threshold — any later element below the pool's k-th key can never reach the
-answer.  :meth:`finalize` runs the configured second top-k pass over the pool
-to order the final answer and map indices back to global input positions.
+Each chunk is distilled into at most ``k`` candidates, which merge into a
+running pool trimmed to the exact top-k of everything seen so far.  Once
+the pool holds ``k`` candidates its k-th key is a **floor**: ``k`` real
+stream elements sit at or above it, so no later element below it can reach
+the answer — the paper's Rule-2 delegate filtering applied across chunks,
+with the pool's k-th key standing in for the k-th delegate.
+:func:`distil_chunk` applies it to every later chunk before any delegate
+pipeline runs: one ``to_keys`` compare pass keeps the elements at or above
+the floor (NaN inputs still raise), a chunk with at most ``k`` survivors
+hands all of them over as candidates, and only a chunk with more runs the
+delegate-centric pipeline (construction, first top-k, filtered
+concatenation, second top-k) — over its compacted survivors alone.  The
+single-engine loop here tightens the floor after every chunk; the
+dispatcher's fleet-routed streaming primes one fixed floor from its first
+chunks and filters every later chunk against it.
 
-The result is equivalent to a one-shot :meth:`~repro.core.drtopk.DrTopK.topk`
-over the concatenated input: the top-k *value multiset* is unique, so the
-returned values match element-wise; indices are one valid choice under ties.
+A :class:`~repro.service.planbank.ChunkMemo` remembers each chunk's
+candidates together with the floor they were distilled under.  An entry
+whose floor is at or below the stream's current floor serves at once; any
+other entry serves tentatively, and its chunk is re-run unfiltered at the
+end unless the stream's final k-th key reaches the entry's floor.
+
+:meth:`StreamingTopK.finalize` runs the configured second top-k pass over
+the pool to order the final answer and map indices back to global input
+positions.  The result is equivalent to a one-shot
+:meth:`~repro.core.drtopk.DrTopK.topk` over the concatenated input: the
+top-k *value multiset* is unique, so the returned values match
+element-wise; indices are one valid choice under ties.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -45,6 +62,10 @@ __all__ = [
     "streaming_topk",
     "merge_candidate_pool",
     "order_candidate_pool",
+    "distil_chunk",
+    "pool_floor",
+    "floor_key",
+    "merge_rerun_candidates",
 ]
 
 #: Default chunk size (elements); far below the paper's 2^30 device cap so
@@ -120,6 +141,121 @@ def order_candidate_pool(
     return ordered.values, pool_indices[ordered.indices], float(finalize_bytes)
 
 
+def pool_floor(
+    pool_values: Optional[np.ndarray], k: int, largest: bool
+) -> Optional[np.generic]:
+    """The k-th value of a pool holding ``k`` candidates, else ``None``.
+
+    ``k`` real stream elements sit at or above it, so it is a valid floor
+    for every element the stream has not consumed yet.
+    """
+    if pool_values is None or pool_values.shape[0] < k:
+        return None
+    return pool_values[int(np.argmin(to_keys(pool_values, largest=largest)))]
+
+
+def floor_key(floor: Optional[np.generic], dtype: np.dtype, largest: bool) -> Optional[int]:
+    """``floor``'s key in ``dtype``'s key space (``None``: no floor applies).
+
+    A floor taken from a pool of another dtype (a mixed-dtype stream) has no
+    key in this space, so such a chunk runs unfiltered.
+    """
+    if floor is None or floor.dtype != dtype:
+        return None
+    return int(to_keys(np.asarray(floor), largest=largest))
+
+
+def distil_chunk(
+    piece: np.ndarray,
+    k: int,
+    largest: bool,
+    floor: Optional[int],
+    distil: Callable[[np.ndarray, int, bool], TopKResult],
+    config: DrTopKConfig,
+) -> Tuple[TopKResult, float, float]:
+    """Distil one chunk into at most ``k`` candidates, filtering at the stream floor.
+
+    ``floor`` is the stream's floor key in the chunk's key space (see
+    :func:`floor_key`); ``None`` runs ``distil(piece, k, largest)`` — the
+    caller's delegate pipeline — on the whole chunk.  Otherwise one
+    ``to_keys`` compare pass keeps the elements whose key is at or above the
+    floor: at most ``k`` survivors are all candidates, more are distilled by
+    ``distil`` over the compacted survivors, indices mapped back.  Exact,
+    because ``k`` stream elements already sit at or above the floor.
+
+    Returns ``(candidates, filter_bytes, filter_ms)``: chunk-local
+    candidates, and the filter pass's simulated traffic and modelled time —
+    one kernel step loading the chunk and storing the survivors' values and
+    indices (zero without a floor or with tracing off).  A filter-only
+    chunk's statistics describe the pass as one subrange scanned against
+    the floor, with the survivors as its concatenation.
+    """
+    if floor is None:
+        return distil(piece, k, largest), 0.0, 0.0
+    n = piece.shape[0]
+    keys = to_keys(piece, largest=largest)
+    survivors = np.flatnonzero(keys >= keys.dtype.type(floor))
+    kept = int(survivors.shape[0])
+    step_ms: dict = {}
+    filter_bytes = 0.0
+    if config.collect_trace:
+        trace = ExecutionTrace(itemsize=piece.dtype.itemsize)
+        trace.add("stream_filter", loads=float(n), stores=2.0 * kept, kernels=1)
+        filter_bytes = float(trace.total_counters().global_bytes)
+        step_ms = trace.step_times_ms(config.device)
+    filter_ms = float(sum(step_ms.values()))
+    if kept <= k:
+        alpha = (n - 1).bit_length()
+        stats = WorkloadStats(
+            input_size=n,
+            subrange_size=1 << alpha,
+            alpha=alpha,
+            num_subranges=1,
+            qualified_subranges=1,
+            fully_qualified_subranges=1,
+            concatenated_size=kept,
+            second_topk_skipped=True,
+            filtered_out=n - kept,
+            step_times_ms=step_ms,
+        )
+        values, indices = piece[survivors], survivors
+    else:
+        inner = distil(piece[survivors], k, largest)
+        inner_stats = inner.stats if inner.stats is not None else WorkloadStats()
+        stats = replace(
+            inner_stats,
+            input_size=n,
+            filtered_out=inner_stats.filtered_out + n - kept,
+            step_times_ms={**inner_stats.step_times_ms, **step_ms},
+        )
+        values, indices = inner.values, survivors[inner.indices]
+    return (
+        TopKResult(values=values, indices=indices, k=values.shape[0], largest=largest, stats=stats),
+        filter_bytes,
+        filter_ms,
+    )
+
+
+def merge_rerun_candidates(
+    pool_values: Optional[np.ndarray],
+    pool_indices: np.ndarray,
+    values: np.ndarray,
+    indices: np.ndarray,
+    k: int,
+    largest: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Merge a re-run chunk's candidates into a pool that may already hold some.
+
+    The chunk's tentative memo candidates were merged earlier; dropping the
+    re-run's global indices already pooled keeps every pooled element
+    distinct, so the pool stays the exact top-k of everything merged.
+    """
+    fresh = ~np.isin(indices, pool_indices)
+    return merge_candidate_pool(
+        pool_values, pool_indices, values[fresh], indices[fresh], k, largest
+    )
+
+
 @dataclass
 class StreamReport:
     """Progress and accounting of one streaming run."""
@@ -163,7 +299,15 @@ class StreamingTopK:
         chunk is fingerprinted; a memoised chunk contributes its candidates
         with zero pipeline work, so replaying a stream (or sharing chunks
         between streams) skips the per-chunk pipeline — the streaming
-        equivalent of the dispatcher's result reuse.
+        equivalent of the dispatcher's result reuse.  Entries record the
+        floor their chunk was filtered against; one distilled under a
+        higher floor than the stream's is served tentatively and its chunk
+        re-run unfiltered at :meth:`finalize` if the pool never reaches it.
+
+    Once the pool holds ``k`` candidates its k-th key is the stream's
+    floor, tightened after every chunk: each later chunk goes through
+    :func:`distil_chunk`, so only chunks with more than ``k`` elements at or
+    above the floor run the delegate pipeline, over those elements alone.
     """
 
     def __init__(
@@ -188,6 +332,11 @@ class StreamingTopK:
         self._pool_indices = np.empty(0, dtype=np.int64)
         self._count = 0
         self._result: Optional[TopKResult] = None
+        # The pool's k-th value once it holds k candidates (tightened after
+        # every chunk), and memo-served chunks whose entry floor the pool has
+        # not reached yet: (entry floor, chunk_stats slot, chunk, offset, fp).
+        self._floor: Optional[np.generic] = None
+        self._uncertified: List[Tuple[int, int, np.ndarray, int, str]] = []
 
     @property
     def config(self) -> DrTopKConfig:
@@ -239,35 +388,80 @@ class StreamingTopK:
         # Distil the chunk to its local top-k candidates; a chunk smaller
         # than k contributes everything it has.
         kk = min(self.k, n)
-        local = None
+        floor = floor_key(self._floor, piece.dtype, self.largest)
+        served = None
         fp = None
         if self.chunk_memo is not None:
             from repro.service.cache import fingerprint_array  # avoids an import cycle
 
             fp = fingerprint_array(piece)
-            local = self.chunk_memo.get(fp, kk, self.largest)
+            served = self.chunk_memo.lookup(fp, kk, self.largest, floor)
         self.report.chunks += 1
-        if local is None:
-            local = self.engine.topk(piece, kk, largest=self.largest)
-            assert local.stats is not None
-            self.report.chunk_stats.append(local.stats)
-            if self.config.collect_trace:
-                self.report.chunk_bytes += (
-                    self.engine.last_trace.total_counters().global_bytes
-                )
+        if served is None:
+            local = self._distil(piece, kk, floor)
+            self.report.chunk_stats.append(local.stats or WorkloadStats(input_size=n))
             if fp is not None:
-                self.chunk_memo.put(fp, kk, self.largest, local)
+                self.chunk_memo.put(fp, kk, self.largest, local, floor)
         else:
             # Memoised chunk: candidates arrive with zero pipeline work.  The
             # chunk is still recorded in chunk_stats — as an explicit
             # zero-work entry — so the aggregated stream statistics keep one
             # entry per consumed chunk and a warm replay's per-element work
             # is measured against the full stream, not just the cold chunks.
+            local, pending = served
             self.report.memo_hits += 1
             self.report.chunk_stats.append(WorkloadStats(input_size=n))
+            if pending is not None:
+                # Distilled under a higher floor than this stream has reached:
+                # hold the chunk until the pool's k-th key vouches for it.
+                slot = len(self.report.chunk_stats) - 1
+                self._uncertified.append((pending, slot, piece, offset, fp))
         self._merge(local.values, local.indices + offset)
         self._count += n
         self.report.total_elements = self._count
+        self._floor = pool_floor(self._pool_values, self.k, self.largest)
+        # A tentatively served entry stands once the pool's k-th key reaches
+        # the floor it was distilled under.
+        self._uncertified = [
+            held
+            for held in self._uncertified
+            if not self._vouches_for(held[0], held[2].dtype)
+        ]
+
+    def _vouches_for(self, entry_floor: int, dtype: np.dtype) -> bool:
+        reached = floor_key(self._floor, dtype, self.largest)
+        return reached is not None and reached >= entry_floor
+
+    def _distil(self, piece: np.ndarray, kk: int, floor: Optional[int]) -> TopKResult:
+        """One chunk through :func:`distil_chunk` on this stream's engine."""
+
+        def run(values: np.ndarray, k: int, largest: bool) -> TopKResult:
+            result = self.engine.topk(values, k, largest=largest)
+            if self.config.collect_trace:
+                self.report.chunk_bytes += self.engine.last_trace.total_counters().global_bytes
+            return result
+
+        local, filter_bytes, _ = distil_chunk(piece, kk, self.largest, floor, run, self.config)
+        self.report.chunk_bytes += filter_bytes
+        return local
+
+    def _rerun_uncertified(self) -> None:
+        """Re-distil, unfiltered, each memo-served chunk the stream never vouched for."""
+        for _, slot, piece, offset, fp in self._uncertified:
+            kk = min(self.k, piece.shape[0])
+            local = self._distil(piece, kk, None)
+            self.report.memo_hits -= 1
+            self.report.chunk_stats[slot] = local.stats or WorkloadStats(input_size=piece.shape[0])
+            self.chunk_memo.put(fp, kk, self.largest, local)
+            self._pool_values, self._pool_indices = merge_rerun_candidates(
+                self._pool_values,
+                self._pool_indices,
+                local.values,
+                local.indices + offset,
+                self.k,
+                self.largest,
+            )
+        self._uncertified = []
 
     def _merge(self, values: np.ndarray, global_indices: np.ndarray) -> None:
         """Fold chunk candidates into the running pool, trimmed to top-k."""
@@ -296,6 +490,7 @@ class StreamingTopK:
             raise ConfigurationError(
                 f"k={self.k} exceeds the {self._count} elements streamed"
             )
+        self._rerun_uncertified()
         assert self._pool_values is not None
         values, global_idx, finalize_bytes = order_candidate_pool(
             self._pool_values, self._pool_indices, self.k, self.largest, self.config

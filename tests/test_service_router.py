@@ -69,9 +69,10 @@ def test_streaming_units_round_robin_and_slicing(router, uniform_u32):
     )
     assert len(units) == -(-uniform_u32.shape[0] // 3000)
     assert [u.worker for u in units[:4]] == [0, 1, 2, 0]
-    offset, length, by_largest, _report, memo_hits = units[1].fn()
+    outcome = units[1].fn()
+    offset, length, by_largest = outcome.offset, outcome.length, outcome.candidates
     assert offset == 3000 and length == 3000
-    assert memo_hits == 0  # no chunk memo attached
+    assert outcome.memo_hits == 0  # no chunk memo attached
     # One distilled candidate set per key order present in the batch.
     assert set(by_largest) == {True, False}
     assert by_largest[True].values.shape[0] == 50
